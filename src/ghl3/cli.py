@@ -9,6 +9,7 @@ function value, `sample` emits seeded, reproducible variates. Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .distribution import GeneralizedHalfLogistic
@@ -41,14 +42,11 @@ def _parse_b_list(text: str) -> tuple[float, ...]:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected lo..hi with numeric bounds, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"expected lo..hi with finite bounds, got {text!r}")
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    values = []
-    v = lo
-    while v <= hi + 1e-9:
-        values.append(v)
-        v += 1.0
-    return tuple(values)
+    return tuple(lo + k for k in range(int(hi - lo + 1e-9) + 1))
 
 
 def _add_tol_flags(p: argparse.ArgumentParser) -> None:

@@ -67,7 +67,7 @@ def _check_support(x: float, what: str) -> None:
 
 
 def _check_shape(b: float) -> None:
-    if not (math.isfinite(b) and 0.0 < b <= _MAX_SHAPE):
+    if isinstance(b, bool) or not (math.isfinite(b) and 0.0 < b <= _MAX_SHAPE):
         raise ValueError(f"shape must lie in (0, {_MAX_SHAPE:g}], got {b!r}")
 
 
@@ -193,7 +193,7 @@ class GeneralizedHalfLogistic:
 
     def moment(self, n: int) -> float:
         """Raw moment E[X^n] for integer n >= 0, by semi-infinite quadrature."""
-        if n != int(n) or n < 0:
+        if isinstance(n, bool) or n != int(n) or n < 0:
             raise ValueError(f"moment order must be a nonnegative integer, got {n!r}")
         n = int(n)
         if n == 0:

@@ -92,10 +92,12 @@ class QuadResult:
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the subdivision budget is exhausted or a tail will not decay.
+    """Raised when the subdivision budget is exhausted, a tail will not decay,
+    or the incomplete beta continued fraction runs out of terms.
 
     Carries the best available estimate so callers can inspect how far
-    the integration got.
+    the computation got (for the continued fraction, evaluations counts
+    its terms).
     """
 
     def __init__(self, message: str, best: QuadResult):

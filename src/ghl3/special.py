@@ -3,13 +3,17 @@
 Everything here is scalar, pure, and written against binary64. The
 incomplete beta function is evaluated by a modified-Lentz continued
 fraction with the symmetry switch at u > a/(a+b); its inverse is a
-damped, bracket-safeguarded Newton iteration. Arguments up to ~1e3 are
-handled in log space so that B(b,b) never underflows.
+guarded Halley/Newton iteration inside a bisection bracket. Arguments
+up to ~1e3 are handled in log space so that B(b,b) never underflows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from statistics import NormalDist
+
+from .quadrature import ConvergenceError, QuadResult
 
 __all__ = ["log_gamma", "log_beta", "reg_inc_beta", "inv_reg_inc_beta"]
 
@@ -41,6 +45,10 @@ _CF_TINY = 1e-300
 
 _NEWTON_MAX_STEPS = 100
 _F_TOL = 5e-14
+
+_STD_NORMAL = NormalDist()
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def log_gamma(a: float) -> float:
@@ -74,7 +82,8 @@ def _betacf(a: float, b: float, u: float) -> float:
     """Continued fraction for the incomplete beta function (modified Lentz).
 
     Converges rapidly for u < (a+1)/(a+b+2); callers arrange that via the
-    symmetry switch.
+    symmetry switch. Raises ConvergenceError, carrying the partial value,
+    when _CF_MAX_ITER terms do not suffice.
     """
     qab = a + b
     qap = a + 1.0
@@ -108,8 +117,9 @@ def _betacf(a: float, b: float, u: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
-    raise ValueError(
-        f"incomplete beta continued fraction failed to converge for a={a}, b={b}, u={u}"
+    raise ConvergenceError(
+        f"incomplete beta continued fraction failed to converge for a={a}, b={b}, u={u}",
+        QuadResult(h, abs(h * (delta - 1.0)), _CF_MAX_ITER),
     )
 
 
@@ -142,72 +152,42 @@ def reg_inc_beta(a: float, b: float, u: float) -> float:
     return min(1.0, max(0.0, _reg_inc_beta_raw(a, b, u, log_beta(a, b))))
 
 
-def _inv_std_normal_cdf(p: float) -> float:
-    """Rational approximation to the standard normal quantile (|err| < 2e-9).
-
-    Used only to seed the Newton iteration in inv_reg_inc_beta.
-    """
-    # Coefficients from Acklam's algorithm.
-    if p <= 0.0:
-        return -38.0
-    if p >= 1.0:
-        return 38.0
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-
-
 def _inverse_seed(a: float, b: float, q: float, log_b: float) -> float:
-    """Initial guess for I_u(a,b) = q.
+    """Initial guess for I_u(a,b) = q, strictly inside (0, 1).
 
-    Normal approximation (Abramowitz & Stegun 26.5.22 style) when both
-    shapes exceed 1, tail power laws when q is extreme, 0.5 otherwise.
-    The Newton loop is bracket-safeguarded, so a mediocre seed only
-    costs iterations.
+    Both shapes >= 1: the normal approximation of Abramowitz & Stegun
+    26.5.22, which takes the upper-tail deviate -Phi^-1(q) (Numerical
+    Recipes `invbetai`). Otherwise the tail power laws
+    I_u ~ u^a / (a B) and 1 - I_u ~ (1-u)^b / (b B), split where NR
+    splits them.
     """
-    if q < 1e-5:
-        # I_u ~ u^a / (a B(a,b)) as u -> 0.
-        u = math.exp((math.log(q * a) + log_b) / a)
-        return min(max(u, 1e-300), 0.9999)
-    if q > 1.0 - 1e-5:
-        u = math.exp((math.log((1.0 - q) * b) + log_b) / b)
-        return min(max(1.0 - u, 1e-4), 1.0 - 1e-300)
     if a >= 1.0 and b >= 1.0:
-        z = _inv_std_normal_cdf(q)
+        z = -_STD_NORMAL.inv_cdf(q)
         al = (z * z - 3.0) / 6.0
         sa = 1.0 / (2.0 * a - 1.0)
         sb = 1.0 / (2.0 * b - 1.0)
         h = 2.0 / (sa + sb)
         w = z * math.sqrt(h + al) / h - (sb - sa) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h))
-        u = a / (a + b * math.exp(2.0 * w))
-        return min(max(u, 1e-12), 1.0 - 1e-12)
-    return 0.5
+        # exp(700) keeps the far lower tail finite; the clamp below takes over.
+        u = a / (a + b * math.exp(min(2.0 * w, 700.0)))
+    else:
+        t = math.exp(a * math.log(a / (a + b))) / a
+        v = math.exp(b * math.log(b / (a + b))) / b
+        if q < t / (t + v):
+            u = math.exp((math.log(q * a) + log_b) / a)
+        else:
+            u = 1.0 - math.exp((math.log1p(-q) + math.log(b) + log_b) / b)
+    return min(max(u, 1e-300), _BELOW_ONE)
 
 
 def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     """Inverse of reg_inc_beta in its last argument: u with I_u(a, b) = q.
 
-    Damped Newton seeded inside the bracket [0, 1]; every iterate updates
-    the bracket, and after 100 Newton steps the solve falls back to pure
-    bisection, so convergence is unconditional.
+    Halley steps (plain Newton where the Halley correction is not
+    trusted) from an Abramowitz & Stegun 26.5.22 or tail power-law seed
+    inside the bracket [0, 1]. Every iterate updates the bracket, a step
+    that leaves it bisects instead, and after 100 steps the solve falls
+    back to pure bisection, so convergence is unconditional.
     """
     _check_shape_pair(a, b)
     if not (0.0 <= q <= 1.0):
@@ -225,23 +205,34 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
 
     for _ in range(_NEWTON_MAX_STEPS):
         fu = _reg_inc_beta_raw(a, b, u, log_b) - q
-        if abs(fu) <= _F_TOL:
-            return u
         if fu > 0.0:
             hi = u
         else:
             lo = u
-        # Density of the beta distribution at u, in log space.
-        dens = math.exp(am1 * math.log(u) + bm1 * math.log1p(-u) - log_b)
-        if dens > 0.0 and math.isfinite(dens):
-            step = fu / dens
-            u_new = u - step
-        else:
-            u_new = math.nan
+        # Density of the beta distribution at u, in log space; next to a
+        # pole of a shape below 1 it can pass the binary64 range.
+        log_dens = am1 * math.log(u) + bm1 * math.log1p(-u) - log_b
+        dens = math.exp(log_dens) if log_dens < _LOG_DBL_MAX else math.inf
+        step = fu / dens if 0.0 < dens < math.inf else math.nan
+        # Halley: f''/f' = (a-1)/u - (b-1)/(1-u) for the beta density. A
+        # correction outside (0, 2) means the step leaves the region where
+        # the local model holds (unguarded, it crawls through flat tails),
+        # so the plain Newton step is taken there.
+        corr = 1.0 - 0.5 * step * (am1 / u - bm1 / (1.0 - u))
+        trusted = 0.0 < corr < 2.0
+        if trusted:
+            step /= corr
+        u_new = u - step
+        # A residual within tolerance ends the solve unless the local model
+        # says the root is still far off, as in a tail where q or 1 - q is
+        # below _F_TOL. The last step is free: the density is in hand.
+        if abs(fu) <= _F_TOL and (trusted or math.isnan(step)):
+            return u_new if lo < u_new < hi else u
         if not (lo < u_new < hi):
             u_new = 0.5 * (lo + hi)
-        if u_new == u:
-            return u
+            if u_new == lo or u_new == hi:
+                # The bracket is one ulp wide.
+                return u_new
         u = u_new
 
     # Newton budget exhausted: plain bisection on the bracket.

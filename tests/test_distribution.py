@@ -144,6 +144,11 @@ class TestDensity:
         with pytest.raises(ValueError):
             GeneralizedHalfLogistic(b)
 
+    def test_bool_shape_rejected(self):
+        # bool is an int subclass, so True would otherwise pass as b = 1.
+        with pytest.raises(ValueError):
+            GeneralizedHalfLogistic(True)
+
 
 class TestCdf:
     def test_frozen_values(self):
@@ -253,6 +258,10 @@ class TestMoments:
         with pytest.raises(ValueError):
             GeneralizedHalfLogistic(2.0).moment(-1)
 
+    def test_bool_order_rejected(self):
+        with pytest.raises(ValueError):
+            GeneralizedHalfLogistic(2.0).moment(True)
+
     def test_summary_stats_base_case(self):
         s = GeneralizedHalfLogistic(1.0).summary_stats()
         assert s.mean == pytest.approx(1.3862943611198906, abs=1e-9)
@@ -304,6 +313,21 @@ class TestQuantilesAndMode:
         ps = [i / 50.0 for i in range(50)]
         xs = [d.quantile(p) for p in ps]
         assert all(x1 <= x2 for x1, x2 in zip(xs, xs[1:]))
+
+    def test_relative_accuracy_against_mpmath(self):
+        # Reference root of F(x) = I_{tanh^2(x/2)}(1/2, b) = p at 40 digits.
+        import mpmath as mp
+
+        with mp.workdps(40):
+            for b in [0.5, 2.0, 50.0, 1000.0]:
+                ps = [0.1, 0.5, 0.9, 0.999] + ([1 - 1e-6] if b >= 2.0 else [])
+                for p in ps:
+                    x = GeneralizedHalfLogistic(b).quantile(p)
+                    ref = mp.findroot(
+                        lambda t: mp.betainc(0.5, b, 0, mp.tanh(t / 2) ** 2, regularized=True) - p,
+                        mp.mpf(x),
+                    )
+                    assert abs(x - ref) <= 2e-11 * ref, (b, p)
 
     @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5, math.nan])
     def test_quantile_domain(self, p):

@@ -10,7 +10,8 @@ import random
 import pytest
 from scipy import special as sp
 
-from ghl3 import inv_reg_inc_beta, log_beta, log_gamma, reg_inc_beta
+from ghl3 import ConvergenceError, inv_reg_inc_beta, log_beta, log_gamma, reg_inc_beta
+from ghl3 import special
 
 
 @pytest.mark.parametrize(
@@ -111,6 +112,13 @@ class TestRegIncBeta:
         with pytest.raises(ValueError):
             reg_inc_beta(2, 2, u)
 
+    def test_continued_fraction_failure_is_convergence_error(self):
+        # Far outside the supported shapes the continued fraction runs out
+        # of terms; that is a numeric failure, not a usage error.
+        with pytest.raises(ConvergenceError) as excinfo:
+            reg_inc_beta(1e12, 1e12, 0.4999999)
+        assert math.isfinite(excinfo.value.best.value)
+
 
 class TestInverse:
     def test_symmetric_median(self):
@@ -153,3 +161,37 @@ class TestInverse:
     def test_domain_error(self, q):
         with pytest.raises(ValueError):
             inv_reg_inc_beta(2, 2, q)
+
+    @pytest.mark.parametrize("b", [1.5, 2.0, 5.0, 20.0, 100.0, 1000.0])
+    def test_seed_lands_near_root(self, b):
+        # The Abramowitz & Stegun 26.5.22 seed takes the upper-tail deviate;
+        # fed the lower-tail one it lands on the mirror point 1 - u.
+        sd = 0.5 / math.sqrt(2.0 * b + 1.0)
+        for q in [0.55, 0.75, 0.9, 0.99, 1 - 1e-6]:
+            seed = special._inverse_seed(b, b, q, log_beta(b, b))
+            assert abs(seed - sp.betaincinv(b, b, q)) <= 0.1 * sd, q
+
+    def test_kernel_evaluations_per_inverse(self, monkeypatch):
+        # Work bound on the quantile's inverse, q = (1 + p)/2, counted in
+        # incomplete-beta evaluations. Shapes below 1 stop at p = 0.999,
+        # short of the u -> 1 corner where 1 - u underflows.
+        raw = special._reg_inc_beta_raw
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return raw(*args)
+
+        monkeypatch.setattr(special, "_reg_inc_beta_raw", counting)
+        counts = []
+        for k in range(12):
+            b = 0.5 * 2000.0 ** (k / 11)
+            ps = [1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999]
+            if b >= 1.0:
+                ps += [1 - 1e-6, 1 - 1e-9]
+            for p in ps:
+                calls.clear()
+                inv_reg_inc_beta(b, b, 0.5 * (1.0 + p))
+                counts.append(len(calls))
+        assert sum(counts) / len(counts) <= 3.5
+        assert max(counts) <= 8

@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 from ghl3 import GeneralizedHalfLogistic
-from ghl3.cli import main
+from ghl3.cli import _parse_b_list, main
 from ghl3.tables import (
     Table,
     TableSpec,
@@ -202,6 +202,16 @@ class TestCli:
     def test_bad_b_list_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["table", "moments", "--b-list", "3"])
+        assert excinfo.value.code == 2
+
+    def test_b_list_values_do_not_accumulate_rounding(self):
+        values = _parse_b_list("0.33..999.33")
+        assert values == tuple(0.33 + k for k in range(1000))
+
+    @pytest.mark.parametrize("text", ["1..inf", "-inf..3", "nan..3"])
+    def test_non_finite_b_list_is_usage_error(self, text):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table", "moments", "--b-list", text])
         assert excinfo.value.code == 2
 
     def test_sample_deterministic(self, capsys):
