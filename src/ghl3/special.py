@@ -171,8 +171,8 @@ def _inverse_seed(a: float, b: float, q: float, log_b: float) -> float:
         # exp(700) keeps the far lower tail finite; the clamp below takes over.
         u = a / (a + b * math.exp(min(2.0 * w, 700.0)))
     else:
-        t = math.exp(a * math.log(a / (a + b))) / a
-        v = math.exp(b * math.log(b / (a + b))) / b
+        t = (a / (a + b)) ** a / a
+        v = (b / (a + b)) ** b / b
         if q < t / (t + v):
             u = math.exp((math.log(q * a) + log_b) / a)
         else:
