@@ -70,9 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--b", type=float, help="single shape value")
     p_table.add_argument("--b-list", type=_parse_b_list, metavar="LO..HI",
                          help="inclusive range of shapes in steps of 1")
-    p_table.add_argument("--x-max", type=float, default=5.9,
-                         help="largest cdf grid point (cdf table only)")
-    p_table.add_argument("--step", type=float, default=0.1, help="cdf grid spacing")
+    p_table.add_argument("--x-max", type=float,
+                         help="largest cdf grid point (cdf table only; default 5.9)")
+    p_table.add_argument("--step", type=float, help="cdf grid spacing (default 0.1)")
     p_table.add_argument("--n-max", type=int, default=4,
                          help="highest moment order (moments table only)")
     p_table.add_argument("--precision", type=int, default=None,
@@ -110,13 +110,15 @@ def _table_specs(args: argparse.Namespace) -> list[TableSpec]:
     if args.kind == "cdf":
         precision = 4 if args.precision is None else args.precision
         if b_values is None:
-            if args.precision is None and args.x_max == 5.9 and args.step == 0.1:
+            if args.precision is None and args.x_max is None and args.step is None:
                 return list(default_cdf_specs())
             b_values = (2.0, 3.0)
-        x_count = int(round(args.x_max / args.step)) + 1
+        x_max = 5.9 if args.x_max is None else args.x_max
+        step = 0.1 if args.step is None else args.step
+        x_count = int(round(x_max / step)) + 1
         if x_count < 1:
             raise ValueError("--x-max and --step give an empty grid")
-        return [TableSpec("cdf", tuple(b_values), x_step=args.step,
+        return [TableSpec("cdf", tuple(b_values), x_step=step,
                           x_count=x_count, precision=precision)]
     if args.kind == "moments":
         precision = 4 if args.precision is None else args.precision

@@ -4,10 +4,11 @@ The r-th of n draws has density
 
     f_{r:n}(x) = F(x)^(r-1) * (1 - F(x))^(n-r) * f(x) / B(r, n-r+1),
 
-with the maximum (r = n) and minimum (r = 1) as the usual special cases.
+with the maximum (r = n) and minimum (r = 1) as the usual special cases,
+and cdf I_F(x)(r, n-r+1) (David & Nagaraja, Order Statistics, 2.1).
 Everything is computed from the closed-form cdf route -- never by nesting
-quadrature inside quadrature -- and in log space, so sample sizes up to
-10^4 neither overflow nor lose the tails.
+quadrature inside quadrature -- and in log space or through the incomplete
+beta, so sample sizes up to 10^4 neither overflow nor lose the tails.
 """
 
 from __future__ import annotations
@@ -16,87 +17,75 @@ import math
 from dataclasses import dataclass
 
 from .distribution import GeneralizedHalfLogistic
-from .special import log_beta, log_gamma
+from .special import log_gamma, reg_inc_beta
 
 __all__ = ["OrderIndex", "pdf_rth", "pdf_max", "pdf_min", "cdf_rth"]
 
 
 @dataclass(frozen=True)
 class OrderIndex:
-    """Rank r within a sample of size n, 1 <= r <= n."""
+    """Rank r within a sample of size n, 1 <= r <= n; both stored as int."""
 
     r: int
     n: int
 
     def __post_init__(self) -> None:
-        if self.r != int(self.r) or self.n != int(self.n):
-            raise ValueError("order statistic indices must be integers")
-        if not (1 <= self.r <= self.n):
-            raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
-
-
-def _log_comb(n: int, k: int) -> float:
-    return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0)
+        r, n = int(self.r), int(self.n)
+        # bool is an int subclass, so True would otherwise pass as 1.
+        if isinstance(self.r, bool) or isinstance(self.n, bool) or r != self.r or n != self.n:
+            raise ValueError(
+                f"order statistic indices must be integers, got r={self.r!r}, n={self.n!r}")
+        if not (1 <= r <= n):
+            raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
 
 
 def pdf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
     """Density of the r-th order statistic of n draws at x >= 0."""
     r, n = idx.r, idx.n
-    big_f = d.cdf(x)
-    big_s = d.survival(x)
-    if big_f == 0.0 and r > 1:
-        return 0.0
-    if big_s == 0.0 and r < n:
-        return 0.0
-    log_val = -log_beta(float(r), float(n - r + 1)) + d.log_pdf(x)
+    # ln(n! / ((r-1)! (n-r)!)) = -ln B(r, n-r+1)
+    log_val = log_gamma(n + 1.0) - log_gamma(float(r)) - log_gamma(n - r + 1.0) + d.log_pdf(x)
     if r > 1:
+        big_f = d.cdf(x)
+        if big_f == 0.0:
+            return 0.0
         log_val += (r - 1) * math.log(big_f)
     if r < n:
+        big_s = d.survival(x)
+        if big_s == 0.0:
+            return 0.0
         log_val += (n - r) * math.log(big_s)
     return math.exp(log_val)
 
 
+def _check_sample_size(n: int) -> None:
+    if isinstance(n, bool) or n != int(n) or n < 1:
+        raise ValueError(f"sample size must be a positive integer, got {n!r}")
+
+
 def pdf_max(d: GeneralizedHalfLogistic, n: int, x: float) -> float:
     """Density n * F(x)^(n-1) * f(x) of the largest of n draws."""
-    if n != int(n) or n < 1:
-        raise ValueError(f"sample size must be a positive integer, got {n!r}")
-    n = int(n)
-    big_f = d.cdf(x)
-    if big_f == 0.0 and n > 1:
-        return 0.0
-    log_val = math.log(n) + d.log_pdf(x)
-    if n > 1:
-        log_val += (n - 1) * math.log(big_f)
-    return math.exp(log_val)
+    _check_sample_size(n)
+    return pdf_rth(d, OrderIndex(n, n), x)
 
 
 def pdf_min(d: GeneralizedHalfLogistic, n: int, x: float) -> float:
     """Density n * (1 - F(x))^(n-1) * f(x) of the smallest of n draws."""
-    if n != int(n) or n < 1:
-        raise ValueError(f"sample size must be a positive integer, got {n!r}")
-    n = int(n)
-    big_s = d.survival(x)
-    if big_s == 0.0 and n > 1:
-        return 0.0
-    log_val = math.log(n) + d.log_pdf(x)
-    if n > 1:
-        log_val += (n - 1) * math.log(big_s)
-    return math.exp(log_val)
+    _check_sample_size(n)
+    return pdf_rth(d, OrderIndex(1, n), x)
 
 
 def cdf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
-    """P(X_{r:n} <= x) as the binomial tail sum over j = r..n of
-    C(n,j) F(x)^j (1-F(x))^(n-j)."""
+    """P(X_{r:n} <= x) = I_F(x)(r, n-r+1), the binomial tail sum over
+    j = r..n of C(n,j) F(x)^j (1-F(x))^(n-j).
+
+    Past the kernel's own switch point F = r/(n+1) it is evaluated as
+    1 - I_S(x)(n-r+1, r) from the survival, so the upper tail never reads
+    an F that has rounded to 1.
+    """
     r, n = idx.r, idx.n
     big_f = d.cdf(x)
-    big_s = d.survival(x)
-    if big_f == 0.0:
-        return 0.0
-    if big_s == 0.0:
-        return 1.0
-    log_f = math.log(big_f)
-    log_s = math.log(big_s)
-    total = 0.0
-    for j in range(r, n + 1):
-        total += math.exp(_log_comb(n, j) + j * log_f + (n - j) * log_s)
-    return min(1.0, max(0.0, total))
+    if big_f <= r / (n + 1.0):
+        return reg_inc_beta(r, n - r + 1, big_f)
+    return 1.0 - reg_inc_beta(n - r + 1, r, d.survival(x))

@@ -68,11 +68,12 @@ def sample_order_stat(
     d: GeneralizedHalfLogistic, idx: OrderIndex, stream: RngStream, batches: int
 ) -> list[float]:
     """Simulate the r-th order statistic: each output is the r-th smallest
-    of n fresh draws. Consumes n uniforms per batch."""
+    of n fresh draws. Consumes n uniforms per batch and, as quantile is
+    nondecreasing, inverts only the r-th smallest of them."""
     if batches != int(batches) or batches < 1:
         raise ValueError(f"batches must be a positive integer, got {batches!r}")
     out = []
     for _ in range(int(batches)):
-        draws = sorted(d.quantile(stream.next_uniform()) for _ in range(idx.n))
-        out.append(draws[idx.r - 1])
+        us = sorted(stream.next_uniform() for _ in range(idx.n))
+        out.append(d.quantile(us[idx.r - 1]))
     return out

@@ -14,6 +14,7 @@ from ghl3 import (
     pdf_min,
     pdf_rth,
 )
+from ghl3 import order_statistics, special
 
 
 class TestOrderIndex:
@@ -21,8 +22,21 @@ class TestOrderIndex:
         idx = OrderIndex(2, 5)
         assert (idx.r, idx.n) == (2, 5)
 
-    @pytest.mark.parametrize("r, n", [(0, 3), (4, 3), (-1, 2), (1, 0)])
+    @pytest.mark.parametrize("r, n", [(0, 3), (4, 3), (-1, 2), (1, 0), (1.5, 3)])
     def test_invalid(self, r, n):
+        with pytest.raises(ValueError):
+            OrderIndex(r, n)
+
+    def test_integral_floats_are_stored_as_int(self):
+        idx = OrderIndex(2.0, 5.0)
+        assert (idx.r, idx.n) == (2, 5)
+        assert type(idx.r) is int and type(idx.n) is int
+        d = GeneralizedHalfLogistic(2.0)
+        assert cdf_rth(d, idx, 1.0) == cdf_rth(d, OrderIndex(2, 5), 1.0)
+
+    @pytest.mark.parametrize("r, n", [(True, True), (1, True), (True, 2)])
+    def test_bool_rejected(self, r, n):
+        # bool is an int subclass, so True would otherwise pass as 1.
         with pytest.raises(ValueError):
             OrderIndex(r, n)
 
@@ -113,6 +127,11 @@ class TestExtremes:
         with pytest.raises(ValueError):
             fn(GeneralizedHalfLogistic(2.0), 0, 1.0)
 
+    @pytest.mark.parametrize("fn", [pdf_max, pdf_min])
+    def test_bool_sample_size_rejected(self, fn):
+        with pytest.raises(ValueError):
+            fn(GeneralizedHalfLogistic(2.0), True, 1.0)
+
 
 class TestRankCdf:
     def test_values_at_median(self):
@@ -141,3 +160,47 @@ class TestRankCdf:
         for x in [0.4, 0.9, 1.6, 2.5]:
             fd = (cdf_rth(d, idx, x + h) - cdf_rth(d, idx, x - h)) / (2.0 * h)
             assert abs(fd - pdf_rth(d, idx, x)) <= 1e-6
+
+    @pytest.mark.parametrize("r, n", [(500, 1000), (1, 10000)])
+    def test_log_gamma_calls_do_not_grow_with_n(self, monkeypatch, r, n):
+        # One incomplete beta for the rank plus the cdf and survival, three
+        # log_gamma calls each; the binomial sum made 3 per term.
+        calls = []
+        original = special.log_gamma
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(special, "log_gamma", counting)
+        monkeypatch.setattr(order_statistics, "log_gamma", counting)
+        d = GeneralizedHalfLogistic(2.0)
+        for x in (0.3, d.median(), 4.0):
+            calls.clear()
+            cdf_rth(d, OrderIndex(r, n), x)
+            assert len(calls) <= 9, x
+
+    @pytest.mark.parametrize(
+        "b, x, r, n",
+        [
+            (0.01, 230.2747219556415, 1, 5),
+            (0.01, 230.2747219556415, 3, 5),
+            (0.01, 230.2747219556415, 5, 5),
+            (0.01, 230.2747219556415, 50, 50),
+            (0.1, 138.29881350451882, 5, 5),
+            (0.1, 138.29881350451882, 50, 50),
+            (0.1, 138.29881350451882, 1000, 1000),
+            (0.001, 105.36215819156126, 1, 5),
+        ],
+    )
+    def test_upper_tail_relative_accuracy_against_mpmath(self, b, x, r, n):
+        # Small shapes put much of the mass where sigma(x) rounds to 1, so
+        # the cdf reads 1.0 there; the survival S = I_{sech^2(x/2)}(b, 1/2)
+        # stays accurate and gives P(X_{r:n} <= x) = 1 - I_S(n-r+1, r).
+        import mpmath as mp
+
+        with mp.workdps(50):
+            s = mp.betainc(b, 0.5, 0, mp.sech(mp.mpf(x) / 2) ** 2, regularized=True)
+            ref = 1 - mp.betainc(n - r + 1, r, 0, s, regularized=True)
+        got = cdf_rth(GeneralizedHalfLogistic(b), OrderIndex(r, n), x)
+        assert abs(got - ref) <= 1e-11 * ref

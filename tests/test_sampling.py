@@ -126,6 +126,36 @@ class TestSampleOrderStat:
         xs = sample_order_stat(d, idx, RngStream(seed=17), n_batches)
         assert ks_distance(xs, lambda x: cdf_rth(d, idx, x)) < 1.63 / math.sqrt(n_batches)
 
+    @pytest.mark.parametrize("r, n", [(1, 7), (4, 7), (7, 7), (13, 50)])
+    @pytest.mark.parametrize("b", [0.5, 2.0, 100.0])
+    def test_one_quantile_per_batch_matches_sorting_all_draws(self, monkeypatch, b, r, n):
+        d = GeneralizedHalfLogistic(b)
+        batches = 4
+        for seed in (0, 31337, 2**64 - 1):
+            # Reference: all n draws of a batch, sorted, keep the r-th.
+            probe = RngStream(seed=seed, counter=5)
+            want = [sorted(d.quantile(probe.next_uniform()) for _ in range(n))[r - 1]
+                    for _ in range(batches)]
+            calls = []
+            original = GeneralizedHalfLogistic.quantile
+
+            def counting(self, p):
+                calls.append(p)
+                return original(self, p)
+
+            monkeypatch.setattr(GeneralizedHalfLogistic, "quantile", counting)
+            stream = RngStream(seed=seed, counter=5)
+            got = sample_order_stat(d, OrderIndex(r, n), stream, batches)
+            monkeypatch.undo()
+            assert got == want
+            assert len(calls) == batches
+            assert stream.counter == 5 + n * batches
+
+    def test_integral_float_index(self):
+        d = GeneralizedHalfLogistic(2.0)
+        got = sample_order_stat(d, OrderIndex(2.0, 5.0), RngStream(seed=12), 3)
+        assert got == sample_order_stat(d, OrderIndex(2, 5), RngStream(seed=12), 3)
+
     def test_batches_validation(self):
         d = GeneralizedHalfLogistic(2.0)
         with pytest.raises(ValueError):

@@ -185,6 +185,15 @@ class TestCli:
         assert len(rows) == 2
         assert rows[1][2] == "0.0000"
 
+    @pytest.mark.parametrize("flags", [["--x-max", "5.9"], ["--step", "0.1"]])
+    def test_table_explicit_grid_flag_is_honoured(self, capsys, flags):
+        # Any grid flag asks for one grid: b=2 and b=3 both up to 5.9, where
+        # the stock table stops b=3 at 4.9.
+        assert main(["table", "cdf", *flags]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 1 + 12
+        assert [r[1] for r in rows[1:] if r[0] == "3"][-1] == "5.0"
+
     def test_table_b_list_moments(self, capsys):
         assert main(["table", "moments", "--b-list", "1..3"]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
