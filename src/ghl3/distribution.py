@@ -53,14 +53,6 @@ def logistic_sigma(x: float) -> float:
     return t / (1.0 + t)
 
 
-def _softplus(x: float) -> float:
-    # log(1 + e^x) without overflow; the e^(-x) correction is exact to
-    # double precision once x > 33.
-    if x > 33.0:
-        return x + math.exp(-x)
-    return math.log1p(math.exp(x))
-
-
 def _check_support(x: float, what: str) -> None:
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"{what} is supported on [0, inf), got {x!r}")
@@ -74,7 +66,7 @@ def _check_shape(b: float) -> None:
 def half_logistic_pdf(y: float) -> float:
     """Density 2*e^y / (1 + e^y)^2 of the standard half logistic, y >= 0."""
     _check_support(y, "half_logistic_pdf")
-    return math.exp(_LN2 + y - 2.0 * _softplus(y))
+    return math.exp(_LN2 - y - 2.0 * math.log1p(math.exp(-y)))
 
 
 def half_logistic_cdf(y: float) -> float:
@@ -95,13 +87,14 @@ def half_logistic_survival(y: float) -> float:
 def type3_logistic_pdf(y: float, b: float) -> float:
     """Density e^(b*y) / (B(b,b) * (1 + e^y)^(2b)) on the whole real line.
 
-    Symmetric about 0; folding it onto [0, inf) doubles it into the
-    generalized half logistic density.
+    Evaluated through |y|, so exactly even; folding it onto [0, inf)
+    doubles it into the generalized half logistic density.
     """
     _check_shape(b)
     if not math.isfinite(y):
         raise ValueError(f"type3_logistic_pdf requires finite y, got {y!r}")
-    return math.exp(-log_beta(b, b) + b * y - 2.0 * b * _softplus(y))
+    y = abs(y)
+    return math.exp(-log_beta(b, b) - b * (y + 2.0 * math.log1p(math.exp(-y))))
 
 
 @dataclass(frozen=True)
@@ -132,9 +125,10 @@ class GeneralizedHalfLogistic:
     # -- density ---------------------------------------------------------
 
     def log_pdf(self, x: float) -> float:
-        """log f(x) = log_norm + b*x - 2b*log(1 + e^x), overflow-safe."""
+        """log f(x) = log_norm - b*(x + 2*log(1 + e^-x)); nothing overflows,
+        so a huge x gives -inf."""
         _check_support(x, "log_pdf")
-        return self.log_norm + self.b * x - 2.0 * self.b * _softplus(x)
+        return self.log_norm - self.b * (x + 2.0 * math.log1p(math.exp(-x)))
 
     def pdf(self, x: float) -> float:
         """Density (2 / B(b,b)) * e^(b*x) / (1 + e^x)^(2b) for x >= 0."""

@@ -6,9 +6,12 @@ The r-th of n draws has density
 
 with the maximum (r = n) and minimum (r = 1) as the usual special cases,
 and cdf I_F(x)(r, n-r+1) (David & Nagaraja, Order Statistics, 2.1).
-Everything is computed from the closed-form cdf route -- never by nesting
-quadrature inside quadrature -- and in log space or through the incomplete
-beta, so sample sizes up to 10^4 neither overflow nor lose the tails.
+Everything is computed from one closed-form survival call S(x) -- never by
+nesting quadrature inside quadrature -- and in log space or through the
+incomplete beta, so sample sizes up to 10^4 neither overflow nor lose the
+tails. F is read as 1 - S (exactly 0 at x = 0): the closed-form cdf is
+1 - 2*I_{1-sigma(x)}(b, b) inside the kernel, so 1 - S is never less
+accurate, and it stays below 1 at small b where that cdf rounds to 1.
 """
 
 from __future__ import annotations
@@ -46,13 +49,13 @@ def pdf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
     r, n = idx.r, idx.n
     # ln(n! / ((r-1)! (n-r)!)) = -ln B(r, n-r+1)
     log_val = log_gamma(n + 1.0) - log_gamma(float(r)) - log_gamma(n - r + 1.0) + d.log_pdf(x)
+    big_s = d.survival(x)
+    big_f = 1.0 - big_s if x > 0.0 else 0.0
     if r > 1:
-        big_f = d.cdf(x)
         if big_f == 0.0:
             return 0.0
         log_val += (r - 1) * math.log(big_f)
     if r < n:
-        big_s = d.survival(x)
         if big_s == 0.0:
             return 0.0
         log_val += (n - r) * math.log(big_s)
@@ -81,11 +84,11 @@ def cdf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
     j = r..n of C(n,j) F(x)^j (1-F(x))^(n-j).
 
     Past the kernel's own switch point F = r/(n+1) it is evaluated as
-    1 - I_S(x)(n-r+1, r) from the survival, so the upper tail never reads
-    an F that has rounded to 1.
+    1 - I_S(x)(n-r+1, r), so each call takes the direct continued fraction.
     """
     r, n = idx.r, idx.n
-    big_f = d.cdf(x)
+    big_s = d.survival(x)
+    big_f = 1.0 - big_s if x > 0.0 else 0.0
     if big_f <= r / (n + 1.0):
         return reg_inc_beta(r, n - r + 1, big_f)
-    return 1.0 - reg_inc_beta(n - r + 1, r, d.survival(x))
+    return 1.0 - reg_inc_beta(n - r + 1, r, big_s)

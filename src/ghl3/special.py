@@ -17,28 +17,6 @@ from .quadrature import ConvergenceError, QuadResult
 
 __all__ = ["log_gamma", "log_beta", "reg_inc_beta", "inv_reg_inc_beta"]
 
-# Lanczos approximation, g = 607/128, truncated to 14 terms. Good to
-# ~1e-15 relative on Gamma for all positive arguments.
-_LANCZOS_G_PLUS_HALF = 5.24218750000000000
-_LANCZOS_SER0 = 0.999999999999997092
-_LANCZOS_COF = (
-    57.1562356658629235,
-    -59.5979603554754912,
-    14.1360979747417471,
-    -0.491913816097620199,
-    0.339946499848118887e-4,
-    0.465236289270485756e-4,
-    -0.983744753048795646e-4,
-    0.158088703224912494e-3,
-    -0.210264441724104883e-3,
-    0.217439618115212643e-3,
-    -0.164318106536763890e-3,
-    0.844182239838527433e-4,
-    -0.261908384015814087e-4,
-    0.368991826595316234e-5,
-)
-_SQRT_2PI = 2.5066282746310005
-
 _CF_EPS = 1e-16
 _CF_MAX_ITER = 500
 _CF_TINY = 1e-300
@@ -52,20 +30,13 @@ _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def log_gamma(a: float) -> float:
-    """Natural log of the gamma function for a > 0.
+    """Natural log of the gamma function for a > 0, by math.lgamma.
 
     Raises ValueError for non-positive or non-finite arguments.
     """
     if not math.isfinite(a) or a <= 0.0:
         raise ValueError(f"log_gamma requires a finite positive argument, got {a!r}")
-    tmp = a + _LANCZOS_G_PLUS_HALF
-    tmp = (a + 0.5) * math.log(tmp) - tmp
-    ser = _LANCZOS_SER0
-    y = a
-    for c in _LANCZOS_COF:
-        y += 1.0
-        ser += c / y
-    return tmp + math.log(_SQRT_2PI * ser / a)
+    return math.lgamma(a)
 
 
 def log_beta(a: float, b: float) -> float:

@@ -35,13 +35,13 @@ _COLS_PER_ROW = 10
 class TableSpec:
     """Grid description for one table kind.
 
-    x_start/x_step/x_count describe the cdf evaluation grid; n_max is the
-    highest moment order; precision is the fixed-point output width.
+    x_step/x_count describe the cdf evaluation grid, which starts at 0;
+    n_max is the highest moment order; precision is the fixed-point output
+    width.
     """
 
     table_id: str
     b_values: tuple[float, ...]
-    x_start: float = 0.0
     x_step: float = 0.1
     x_count: int = 60
     n_max: int = 4
@@ -104,14 +104,14 @@ def _build_cdf(spec: TableSpec, tol: Tolerance) -> Table:
     for b in spec.b_values:
         dist = GeneralizedHalfLogistic(b, tol)
         for start in range(0, spec.x_count, _COLS_PER_ROW):
-            row_x = spec.x_start + start * spec.x_step
+            row_x = start * spec.x_step
             cells = []
             for j in range(_COLS_PER_ROW):
                 i = start + j
                 if i >= spec.x_count:
                     cells.append("")
                     continue
-                x = spec.x_start + i * spec.x_step
+                x = i * spec.x_step
                 cells.append(format_fixed(dist.cdf(x), spec.precision))
             rows.append((f"{b:g}", _axis_label(row_x), *cells))
     return Table(columns=columns, rows=tuple(rows))

@@ -56,8 +56,10 @@ class TestSymmetricParent:
         assert type3_logistic_pdf(0.0, 2.0) == pytest.approx(0.375, rel=1e-14)
 
     def test_symmetry(self):
-        for b in [0.5, 1.0, 2.0, 7.0]:
-            assert type3_logistic_pdf(-1.3, b) == pytest.approx(type3_logistic_pdf(1.3, b), rel=1e-13)
+        # Exactly even, out to where the density underflows.
+        for b in [0.001, 0.5, 1.0, 2.0, 7.0, 1000.0]:
+            for y in [0.0, 1e-12, 1.3, 37.0, 700.0, 1e308]:
+                assert type3_logistic_pdf(-y, b) == type3_logistic_pdf(y, b)
 
     def test_whole_line_integrates_to_one(self):
         half = integrate_semi_infinite(lambda y: type3_logistic_pdf(y, 2.0), 0.0, decay_rate=2.0)
@@ -132,6 +134,33 @@ class TestDensity:
         lp = d.log_pdf(100.0)
         assert math.isfinite(lp)
         assert lp == pytest.approx(-197.515093350212, rel=1e-12)
+
+    def test_huge_x_gives_zero_not_nan(self):
+        # b*x and 2b*log(1 + e^x) both overflow here; their difference
+        # was inf - inf = nan.
+        d = GeneralizedHalfLogistic(1000.0)
+        assert d.log_pdf(1e308) == -math.inf
+        assert d.pdf(1e308) == 0.0
+
+    def test_relative_accuracy_against_mpmath(self):
+        # 25 log-spaced b in [1e-3, 1e3] x 40 log-spaced x in [1e-12, 700],
+        # where the density is a normal double. At large b the error is
+        # that of ln B(b, b) = 2 ln Gamma(b) - ln Gamma(2b), whose terms
+        # reach 1.3e4: rounding alone leaves up to ~2.5e-12 absolute there.
+        import mpmath as mp
+
+        worst = 0.0
+        with mp.workdps(30):
+            for i in range(25):
+                b = 10.0 ** (-3 + i / 4)
+                d = GeneralizedHalfLogistic(b)
+                log_norm = mp.log(2) - mp.log(mp.beta(b, b))
+                for j in range(40):
+                    x = mp.mpf(10.0 ** (-12 + (math.log10(700.0) + 12) * j / 39))
+                    ref = mp.exp(log_norm - b * x - 2 * b * mp.log1p(mp.exp(-x)))
+                    if ref >= 1e-300:
+                        worst = max(worst, abs(d.pdf(float(x)) - ref) / ref)
+        assert worst <= 3e-12
 
     def test_negative_x_rejected(self):
         d = GeneralizedHalfLogistic(2.0)

@@ -204,3 +204,26 @@ class TestRankCdf:
             ref = 1 - mp.betainc(n - r + 1, r, 0, s, regularized=True)
         got = cdf_rth(GeneralizedHalfLogistic(b), OrderIndex(r, n), x)
         assert abs(got - ref) <= 1e-11 * ref
+
+    @pytest.mark.parametrize(
+        "r, n, fn",
+        [(500, 1000, pdf_rth), (50, 50, cdf_rth)],
+    )
+    def test_small_shape_reads_cdf_from_survival(self, r, n, fn):
+        # At b = 0.001 sigma(x) rounds to 1 here, and so does the
+        # closed-form cdf, though F = 0.1; F read as 1 - S does not.
+        # True values 1.6e-223 (pdf_rth) and 1.0e-50 (cdf_rth).
+        import mpmath as mp
+
+        b, x = 0.001, 105.36215819156126
+        with mp.workdps(50):
+            s = mp.betainc(b, 0.5, 0, mp.sech(mp.mpf(x) / 2) ** 2, regularized=True)
+            f = 1 - s
+            if fn is cdf_rth:
+                ref = mp.betainc(r, n - r + 1, 0, f, regularized=True)
+            else:
+                log_norm = mp.log(2) - mp.log(mp.beta(b, b))
+                dens = mp.exp(log_norm - b * x - 2 * b * mp.log1p(mp.exp(-mp.mpf(x))))
+                ref = dens * f ** (r - 1) * s ** (n - r) / mp.beta(r, n - r + 1)
+        got = fn(GeneralizedHalfLogistic(b), OrderIndex(r, n), x)
+        assert abs(got - ref) <= 1e-9 * ref

@@ -1,7 +1,8 @@
 """Special-function tests: log-gamma, log-beta, incomplete beta, inverse.
 
-Independent oracles: math.lgamma and scipy.special for broad grids, exact
+Independent oracles: mpmath and scipy.special for broad grids, exact
 closed forms where they exist (I_u(1,1) = u, I_u(2,2) = u^2 (3 - 2u)).
+log_gamma wraps math.lgamma, so it is checked against mpmath, not lgamma.
 """
 
 import math
@@ -30,12 +31,17 @@ def test_log_gamma_known_values(a, expected):
 
 def test_log_gamma_accuracy_over_supported_range():
     # Hybrid abs/rel tolerance: lgamma crosses zero at 1 and 2, where a
-    # pure relative bound is meaningless.
+    # pure relative bound is meaningless. The grid runs to 1e4 because
+    # pdf_rth takes log_gamma(n + 1) for sample sizes up to 1e4.
+    import mpmath as mp
+
     a = 1e-3
-    while a <= 1e3:
-        ref = math.lgamma(a)
-        assert abs(log_gamma(a) - ref) <= 1e-13 * max(1.0, abs(ref)), f"a={a}"
-        a *= 1.037
+    with mp.workdps(30):
+        while a <= 1e4:
+            ref = mp.loggamma(a)
+            err = abs(mp.mpf(log_gamma(a)) - ref)
+            assert err <= 1e-13 * max(1.0, abs(ref)), f"a={a}"
+            a *= 1.037
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])

@@ -139,6 +139,10 @@ class TestCli:
         assert main(["eval", "pdf", "--b", "1", "--x", "0"]) == 0
         assert capsys.readouterr().out.strip() == "0.5"
 
+    def test_eval_pdf_far_tail_is_zero(self, capsys):
+        assert main(["eval", "pdf", "--b", "1000", "--x", "1e308"]) == 0
+        assert capsys.readouterr().out.strip() == "0"
+
     def test_eval_quantile(self, capsys):
         assert main(["eval", "quantile", "--b", "2", "--p", "0.5"]) == 0
         out = capsys.readouterr().out.strip()
