@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from .distribution import GeneralizedHalfLogistic
 from .order_statistics import OrderIndex, pdf_rth
 from .quadrature import ConvergenceError, Tolerance
 from .sampling import RngStream, sample
 from .tables import (
+    Table,
     TableSpec,
     build_table,
     default_cdf_specs,
@@ -50,8 +52,10 @@ def _parse_b_list(text: str) -> tuple[float, ...]:
 
 
 def _add_tol_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-abs", type=float, default=1e-10, help="absolute quadrature tolerance")
-    p.add_argument("--tol-rel", type=float, default=1e-10, help="relative quadrature tolerance")
+    p.add_argument("--tol-abs", type=float, default=Tolerance.abs_tol,
+                   help="absolute quadrature tolerance")
+    p.add_argument("--tol-rel", type=float, default=Tolerance.rel_tol,
+                   help="relative quadrature tolerance")
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
@@ -71,12 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--b-list", type=_parse_b_list, metavar="LO..HI",
                          help="inclusive range of shapes in steps of 1")
     p_table.add_argument("--x-max", type=float,
-                         help="largest cdf grid point (cdf table only; default 5.9)")
-    p_table.add_argument("--step", type=float, help="cdf grid spacing (default 0.1)")
-    p_table.add_argument("--n-max", type=int, default=4,
+                         help="largest cdf grid point (cdf table only; default: the stock b=2 grid's)")
+    p_table.add_argument("--step", type=float,
+                         help="cdf grid spacing (cdf table only; default: the stock grid's)")
+    p_table.add_argument("--n-max", type=int, default=TableSpec.n_max,
                          help="highest moment order (moments table only)")
-    p_table.add_argument("--precision", type=int, default=None,
-                         help="decimal places (default 4; 5 for the median table)")
+    p_table.add_argument("--precision", type=int,
+                         help="decimal places (default: the stock table's)")
     p_table.add_argument("--format", choices=("csv", "md"), default="csv")
     _add_tol_flags(p_table)
     p_table.set_defaults(func=_cmd_table)
@@ -103,48 +108,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _table_specs(args: argparse.Namespace) -> list[TableSpec]:
+    """The stock specs of args.kind with only the flags given applied."""
     if args.b is not None and args.b_list is not None:
         raise ValueError("--b and --b-list are mutually exclusive")
-    b_values = (args.b,) if args.b is not None else args.b_list
-
-    if args.kind == "cdf":
-        precision = 4 if args.precision is None else args.precision
-        if b_values is None:
-            if args.precision is None and args.x_max is None and args.step is None:
-                return list(default_cdf_specs())
-            b_values = (2.0, 3.0)
-        x_max = 5.9 if args.x_max is None else args.x_max
-        step = 0.1 if args.step is None else args.step
-        x_count = int(round(x_max / step)) + 1
-        if x_count < 1:
-            raise ValueError("--x-max and --step give an empty grid")
-        return [TableSpec("cdf", tuple(b_values), x_step=step,
-                          x_count=x_count, precision=precision)]
+    given = {"b_values": (args.b,) if args.b is not None else args.b_list,
+             "precision": args.precision}
+    changes = {k: v for k, v in given.items() if v is not None}
     if args.kind == "moments":
-        precision = 4 if args.precision is None else args.precision
-        if b_values is None:
-            spec = default_moments_spec()
-            b_values = spec.b_values
-        return [TableSpec("moments", tuple(b_values), n_max=args.n_max, precision=precision)]
-    precision = 5 if args.precision is None else args.precision
-    if b_values is None:
-        b_values = default_median_spec().b_values
-    return [TableSpec("median", tuple(b_values), precision=precision)]
+        return [replace(default_moments_spec(), n_max=args.n_max, **changes)]
+    if args.kind == "median":
+        return [replace(default_median_spec(), **changes)]
+    stock = default_cdf_specs()
+    grid = stock[0]
+    if args.x_max is not None or args.step is not None:
+        x_max = grid.x_step * (grid.x_count - 1) if args.x_max is None else args.x_max
+        if args.step is not None:
+            grid = replace(grid, x_step=args.step)  # the spec rejects a step <= 0
+        changes["x_count"] = int(round(x_max / grid.x_step)) + 1
+    if not changes:
+        return list(stock)
+    # Any grid or precision flag asks for one grid, over every stock shape
+    # unless --b or --b-list names others.
+    changes.setdefault("b_values", tuple(b for spec in stock for b in spec.b_values))
+    return [replace(grid, **changes)]
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    tol = _tolerance(args)
-    render = render_csv if args.format == "csv" else render_markdown
-    specs = _table_specs(args)
-    tables = [build_table(spec, tol) for spec in specs]
-    if args.format == "csv" and len(tables) > 1:
-        # Merge blocks that share a header into one CSV stream.
-        merged = tables[0]
-        rows = list(merged.rows)
-        for t in tables[1:]:
-            rows.extend(t.rows)
-        tables = [type(merged)(columns=merged.columns, rows=tuple(rows))]
-    out = "\n".join(render(t) for t in tables) if args.format == "md" else render(tables[0])
+    tables = [build_table(spec, _tolerance(args)) for spec in _table_specs(args)]
+    if args.format == "md":
+        out = "\n".join(render_markdown(t) for t in tables)
+    else:
+        # The blocks share one header, so one CSV carries all their rows.
+        out = render_csv(Table(tables[0].columns, tuple(row for t in tables for row in t.rows)))
     sys.stdout.write(out)
     return 0
 
@@ -191,10 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except OverflowError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except ConvergenceError as exc:

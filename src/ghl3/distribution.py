@@ -176,12 +176,13 @@ class GeneralizedHalfLogistic:
         return self.pdf(x) / s
 
     def interval_prob(self, a1: float, a2: float) -> float:
-        """P(a1 < X < a2) = F(a2) - F(a1) for 0 <= a1 <= a2."""
+        """P(a1 < X < a2) = S(a1) - S(a2) for 0 <= a1 <= a2; the survival
+        keeps the upper tail, where the closed-form cdf rounds to 1."""
         _check_support(a1, "interval_prob")
         _check_support(a2, "interval_prob")
         if a1 > a2:
             raise ValueError(f"interval endpoints out of order: {a1!r} > {a2!r}")
-        return max(0.0, self.cdf(a2) - self.cdf(a1))
+        return max(0.0, self.survival(a1) - self.survival(a2))
 
     # -- moments -----------------------------------------------------------
 

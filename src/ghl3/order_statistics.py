@@ -62,20 +62,13 @@ def pdf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
     return math.exp(log_val)
 
 
-def _check_sample_size(n: int) -> None:
-    if isinstance(n, bool) or n != int(n) or n < 1:
-        raise ValueError(f"sample size must be a positive integer, got {n!r}")
-
-
 def pdf_max(d: GeneralizedHalfLogistic, n: int, x: float) -> float:
     """Density n * F(x)^(n-1) * f(x) of the largest of n draws."""
-    _check_sample_size(n)
     return pdf_rth(d, OrderIndex(n, n), x)
 
 
 def pdf_min(d: GeneralizedHalfLogistic, n: int, x: float) -> float:
     """Density n * (1 - F(x))^(n-1) * f(x) of the smallest of n draws."""
-    _check_sample_size(n)
     return pdf_rth(d, OrderIndex(1, n), x)
 
 
@@ -83,12 +76,8 @@ def cdf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
     """P(X_{r:n} <= x) = I_F(x)(r, n-r+1), the binomial tail sum over
     j = r..n of C(n,j) F(x)^j (1-F(x))^(n-j).
 
-    Past the kernel's own switch point F = r/(n+1) it is evaluated as
-    1 - I_S(x)(n-r+1, r), so each call takes the direct continued fraction.
+    One kernel call; the kernel's own symmetry switch picks the side.
     """
     r, n = idx.r, idx.n
-    big_s = d.survival(x)
-    big_f = 1.0 - big_s if x > 0.0 else 0.0
-    if big_f <= r / (n + 1.0):
-        return reg_inc_beta(r, n - r + 1, big_f)
-    return 1.0 - reg_inc_beta(n - r + 1, r, big_s)
+    big_f = 1.0 - d.survival(x) if x > 0.0 else 0.0
+    return reg_inc_beta(r, n - r + 1, big_f)

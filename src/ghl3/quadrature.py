@@ -59,7 +59,7 @@ _MAX_TAIL_BLOCKS = 8
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric policy shared by the integrators and root finders."""
+    """Numeric policy of the adaptive integrators."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10

@@ -95,12 +95,9 @@ def _betacf(a: float, b: float, u: float) -> float:
 
 
 def _reg_inc_beta_raw(a: float, b: float, u: float, log_b: float) -> float:
-    # Hot path shared with the inverse; arguments already validated and
-    # log B(a,b) precomputed by the caller.
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
+    # Hot path shared with the inverse; arguments already validated,
+    # 0 < u < 1 strictly (the callers own the endpoints), and log B(a,b)
+    # precomputed by the caller.
     front = math.exp(a * math.log(u) + b * math.log1p(-u) - log_b)
     if u <= a / (a + b):
         return front * _betacf(a, b, u) / a

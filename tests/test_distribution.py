@@ -261,6 +261,22 @@ class TestIntervalProbability:
         with pytest.raises(ValueError):
             GeneralizedHalfLogistic(2.0).interval_prob(2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "b, a1, a2", [(0.01, 30.0, 40.0), (0.001, 37.0, 100.0), (2.0, 20.0, 21.0)]
+    )
+    def test_upper_tail_relative_accuracy_against_mpmath(self, b, a1, a2):
+        # The closed-form cdf rounds to 1 at both ends here (true values
+        # 0.0705, 0.0588 and 2.2e-17); S(a1) - S(a2) keeps them.
+        import mpmath as mp
+
+        with mp.workdps(50):
+            def s(x):
+                return mp.betainc(b, 0.5, 0, mp.sech(mp.mpf(x) / 2) ** 2, regularized=True)
+
+            ref = s(a1) - s(a2)
+        got = GeneralizedHalfLogistic(b).interval_prob(a1, a2)
+        assert abs(got - ref) <= 1e-12 * ref
+
 
 class TestMoments:
     def test_zeroth_moment(self):

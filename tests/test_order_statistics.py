@@ -1,5 +1,6 @@
 """Order-statistic density tests: identities, normalization, cdf consistency."""
 
+import itertools
 import math
 import random
 
@@ -122,10 +123,11 @@ class TestExtremes:
         total = integrate_semi_infinite(lambda x: pdf_min(d, 4, x), 0.0, d.tol, decay_rate=2.0)
         assert total.value == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("n", [0, 2.5])
     @pytest.mark.parametrize("fn", [pdf_max, pdf_min])
-    def test_bad_sample_size(self, fn):
+    def test_bad_sample_size(self, fn, n):
         with pytest.raises(ValueError):
-            fn(GeneralizedHalfLogistic(2.0), 0, 1.0)
+            fn(GeneralizedHalfLogistic(2.0), n, 1.0)
 
     @pytest.mark.parametrize("fn", [pdf_max, pdf_min])
     def test_bool_sample_size_rejected(self, fn):
@@ -163,7 +165,7 @@ class TestRankCdf:
 
     @pytest.mark.parametrize("r, n", [(500, 1000), (1, 10000)])
     def test_log_gamma_calls_do_not_grow_with_n(self, monkeypatch, r, n):
-        # One incomplete beta for the rank plus the cdf and survival, three
+        # One incomplete beta for the rank plus one for the survival, three
         # log_gamma calls each; the binomial sum made 3 per term.
         calls = []
         original = special.log_gamma
@@ -178,7 +180,45 @@ class TestRankCdf:
         for x in (0.3, d.median(), 4.0):
             calls.clear()
             cdf_rth(d, OrderIndex(r, n), x)
-            assert len(calls) <= 9, x
+            assert len(calls) <= 6, x
+
+    def test_one_kernel_call_per_evaluation(self, monkeypatch):
+        # The kernel's own symmetry switch picks the side; cdf_rth never
+        # restates it with a second route.
+        calls = []
+        original = order_statistics.reg_inc_beta
+
+        def counting(a, b, u):
+            calls.append((a, b, u))
+            return original(a, b, u)
+
+        monkeypatch.setattr(order_statistics, "reg_inc_beta", counting)
+        d = GeneralizedHalfLogistic(2.0)
+        for r, n in [(1, 5), (3, 5), (5, 5), (500, 1000)]:
+            for x in (0.0, 0.05, d.median(), 4.0, 30.0):
+                calls.clear()
+                cdf_rth(d, OrderIndex(r, n), x)
+                assert len(calls) == 1, (r, n, x)
+
+    @pytest.mark.parametrize("b", [0.5, 2.0, 50.0])
+    def test_far_side_relative_accuracy_against_mpmath(self, b):
+        # Past F = r/(n+1) the kernel evaluates 1 - I_{1-F}(n-r+1, r) itself.
+        import mpmath as mp
+
+        d = GeneralizedHalfLogistic(b)
+        ranks = [(1, 5), (3, 5), (5, 5), (10, 50), (25, 50), (50, 50), (1, 1000), (500, 1000), (1000, 1000)]
+        checked = 0
+        for (r, n), p in itertools.product(ranks, (1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999)):
+            x = d.quantile(p)
+            if 1.0 - d.survival(x) <= r / (n + 1.0):
+                continue
+            with mp.workdps(50):
+                s = mp.betainc(b, 0.5, 0, mp.sech(mp.mpf(x) / 2) ** 2, regularized=True)
+                ref = mp.betainc(r, n - r + 1, 0, 1 - s, regularized=True)
+            got = cdf_rth(d, OrderIndex(r, n), x)
+            assert abs(got - ref) <= 2e-11 * ref, (r, n, p)
+            checked += 1
+        assert checked >= 30
 
     @pytest.mark.parametrize(
         "b, x, r, n",

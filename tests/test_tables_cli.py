@@ -198,6 +198,26 @@ class TestCli:
         assert len(rows) == 1 + 12
         assert [r[1] for r in rows[1:] if r[0] == "3"][-1] == "5.0"
 
+    def test_table_precision_flag_gives_one_grid(self, capsys):
+        # --precision counts as a grid flag too: one 6-decimal grid for b=2
+        # and b=3, both up to 5.9.
+        assert main(["table", "cdf", "--precision", "6"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 1 + 12
+        assert [r[0] for r in rows[1:]] == ["2"] * 6 + ["3"] * 6
+        assert all(len(cell.split(".")[1]) == 6 for r in rows[1:] for cell in r[2:])
+
+    def test_table_median_single_b_keeps_stock_precision(self, capsys):
+        assert main(["table", "median", "--b", "2"]) == 0
+        assert capsys.readouterr().out == "b,median\n2,0.72473\n"
+
+    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    def test_table_non_positive_step_is_usage_error(self, capsys, step):
+        assert main(["table", "cdf", "--step", step]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_table_b_list_moments(self, capsys):
         assert main(["table", "moments", "--b-list", "1..3"]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
