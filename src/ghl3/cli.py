@@ -165,7 +165,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         value = dist.moment(order)
     elif fn == "ordstat-pdf":
         x, r, n = _require(args, ["x", "r", "n"])
-        value = pdf_rth(dist, OrderIndex(int(r), int(n)), x)
+        value = pdf_rth(dist, OrderIndex(r, n), x)
     else:
         (x,) = _require(args, ["x"])
         value = getattr(dist, fn)(x)

@@ -16,18 +16,20 @@ The cdf is computed two ways on purpose:
 * direct adaptive quadrature of the density (cdf_quadrature), kept as an
   independent cross-check of the closed form.
 
-Both are exposed; everything else (quantile, median, moments, hazard)
-builds on them. All operations are pure and instances are immutable, so
-values are safe to share across threads.
+Both are exposed; quantile, median and moments build on them, and the
+survival and hazard read the density and the closed form's continued
+fraction K: S = f*K/b, h = b/K. All operations are pure and instances are
+immutable, so values are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .quadrature import Tolerance, integrate_finite, integrate_semi_infinite
-from .special import inv_reg_inc_beta, log_beta, reg_inc_beta
+from .special import _betacf, inv_reg_inc_beta, log_beta, reg_inc_beta
 
 __all__ = [
     "GeneralizedHalfLogistic",
@@ -61,6 +63,15 @@ def _check_support(x: float, what: str) -> None:
 def _check_shape(b: float) -> None:
     if isinstance(b, bool) or not (math.isfinite(b) and 0.0 < b <= _MAX_SHAPE):
         raise ValueError(f"shape must lie in (0, {_MAX_SHAPE:g}], got {b!r}")
+
+
+def _check_whole(value: object, what: str, least: int) -> int:
+    """value as an int if it is a whole number >= least, else ValueError;
+    a bool or an infinity (whose int() overflows) is not a whole number."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value) or value < least):
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def half_logistic_pdf(y: float) -> float:
@@ -157,23 +168,19 @@ class GeneralizedHalfLogistic:
         return min(1.0, max(0.0, res.value))
 
     def survival(self, x: float) -> float:
-        """1 - F(x), evaluated as 2*I_sigma(-x)(b, b) to stay accurate in the tail."""
+        """1 - F(x) = f(x) * K / b, exactly 1 at x = 0. As sigma(-x) <= 1/2,
+        2*I_sigma(-x)(b, b) = f(x) * K / b with K the continued fraction at
+        (b, b, sigma(-x)), and once sigma(-x) underflows K = 1 and S = f/b."""
         _check_support(x, "survival")
-        v = 2.0 * reg_inc_beta(self.b, self.b, logistic_sigma(-x))
-        return min(1.0, max(0.0, v))
+        if x == 0.0:
+            return 1.0
+        return min(1.0, self.pdf(x) * _betacf(self.b, self.b, logistic_sigma(-x)) / self.b)
 
     def hazard(self, x: float) -> float:
-        """f(x) / (1 - F(x)).
-
-        Raises OverflowError once the survival underflows to zero (x far
-        beyond any quantile of interest).
-        """
-        s = self.survival(x)
-        if s == 0.0:
-            raise OverflowError(
-                f"survival underflows at x={x!r} for shape b={self.b!r}; hazard overflows"
-            )
-        return self.pdf(x) / s
+        """f(x) / (1 - F(x)) = b / K with K as in survival: finite for every
+        x, f(0) at the origin, tending to b."""
+        _check_support(x, "hazard")
+        return self.b / _betacf(self.b, self.b, logistic_sigma(-x))
 
     def interval_prob(self, a1: float, a2: float) -> float:
         """P(a1 < X < a2) = S(a1) - S(a2) for 0 <= a1 <= a2; the survival
@@ -188,9 +195,7 @@ class GeneralizedHalfLogistic:
 
     def moment(self, n: int) -> float:
         """Raw moment E[X^n] for integer n >= 0, by semi-infinite quadrature."""
-        if isinstance(n, bool) or n != int(n) or n < 0:
-            raise ValueError(f"moment order must be a nonnegative integer, got {n!r}")
-        n = int(n)
+        n = _check_whole(n, "moment order", 0)
         if n == 0:
             return 1.0
         res = integrate_semi_infinite(

@@ -9,9 +9,10 @@ and cdf I_F(x)(r, n-r+1) (David & Nagaraja, Order Statistics, 2.1).
 Everything is computed from one closed-form survival call S(x) -- never by
 nesting quadrature inside quadrature -- and in log space or through the
 incomplete beta, so sample sizes up to 10^4 neither overflow nor lose the
-tails. F is read as 1 - S (exactly 0 at x = 0): the closed-form cdf is
-1 - 2*I_{1-sigma(x)}(b, b) inside the kernel, so 1 - S is never less
-accurate, and it stays below 1 at small b where that cdf rounds to 1.
+tails. F is read as 1 - S, exactly 0 at x = 0. Inside the kernel the
+closed-form cdf is 1 - f*K/b with f and K taken at the rounded 1 - sigma(x);
+S = f*K/b takes them from the log density and sigma(-x), so 1 - S is never
+less accurate, and it stays below 1 at small b where sigma(x) rounds to 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distribution import GeneralizedHalfLogistic
+from .distribution import GeneralizedHalfLogistic, _check_whole
 from .special import log_gamma, reg_inc_beta
 
 __all__ = ["OrderIndex", "pdf_rth", "pdf_max", "pdf_min", "cdf_rth"]
@@ -33,12 +34,9 @@ class OrderIndex:
     n: int
 
     def __post_init__(self) -> None:
-        r, n = int(self.r), int(self.n)
-        # bool is an int subclass, so True would otherwise pass as 1.
-        if isinstance(self.r, bool) or isinstance(self.n, bool) or r != self.r or n != self.n:
-            raise ValueError(
-                f"order statistic indices must be integers, got r={self.r!r}, n={self.n!r}")
-        if not (1 <= r <= n):
+        r = _check_whole(self.r, "rank r", 1)
+        n = _check_whole(self.n, "sample size n", 1)
+        if r > n:
             raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
@@ -50,7 +48,7 @@ def pdf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
     # ln(n! / ((r-1)! (n-r)!)) = -ln B(r, n-r+1)
     log_val = log_gamma(n + 1.0) - log_gamma(float(r)) - log_gamma(n - r + 1.0) + d.log_pdf(x)
     big_s = d.survival(x)
-    big_f = 1.0 - big_s if x > 0.0 else 0.0
+    big_f = 1.0 - big_s
     if r > 1:
         if big_f == 0.0:
             return 0.0
@@ -79,5 +77,4 @@ def cdf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
     One kernel call; the kernel's own symmetry switch picks the side.
     """
     r, n = idx.r, idx.n
-    big_f = 1.0 - d.survival(x) if x > 0.0 else 0.0
-    return reg_inc_beta(r, n - r + 1, big_f)
+    return reg_inc_beta(r, n - r + 1, 1.0 - d.survival(x))

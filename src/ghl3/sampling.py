@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distribution import GeneralizedHalfLogistic
+from .distribution import GeneralizedHalfLogistic, _check_whole
 from .order_statistics import OrderIndex
 
 __all__ = ["RngStream", "sample", "sample_order_stat"]
@@ -59,9 +59,7 @@ def sample(d: GeneralizedHalfLogistic, stream: RngStream, count: int) -> list[fl
     Fully reproducible from the stream's (seed, counter); advances the
     counter by count.
     """
-    if count != int(count) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    return [d.quantile(stream.next_uniform()) for _ in range(int(count))]
+    return [d.quantile(stream.next_uniform()) for _ in range(_check_whole(count, "count", 1))]
 
 
 def sample_order_stat(
@@ -70,10 +68,8 @@ def sample_order_stat(
     """Simulate the r-th order statistic: each output is the r-th smallest
     of n fresh draws. Consumes n uniforms per batch and, as quantile is
     nondecreasing, inverts only the r-th smallest of them."""
-    if batches != int(batches) or batches < 1:
-        raise ValueError(f"batches must be a positive integer, got {batches!r}")
     out = []
-    for _ in range(int(batches)):
+    for _ in range(_check_whole(batches, "batches", 1)):
         us = sorted(stream.next_uniform() for _ in range(idx.n))
         out.append(d.quantile(us[idx.r - 1]))
     return out

@@ -240,9 +240,38 @@ class TestSurvivalHazard:
         assert math.isfinite(h)
         assert h == pytest.approx(1.0, rel=1e-6)
 
-    def test_hazard_overflow(self):
-        with pytest.raises(OverflowError):
-            GeneralizedHalfLogistic(1.0).hazard(760.0)
+    def test_hazard_finite_where_sigma_underflows(self):
+        # Past x ~ 745 sigma(-x) is 0, so the continued fraction is 1 and
+        # the hazard is b.
+        assert GeneralizedHalfLogistic(1.0).hazard(760.0) == 1.0
+        assert GeneralizedHalfLogistic(2.0).hazard(400.0) == pytest.approx(2.0, rel=1e-15)
+
+    def test_survival_at_origin_is_exactly_one(self):
+        for i in range(61):
+            assert GeneralizedHalfLogistic(10.0 ** (-3 + i / 10)).survival(0.0) == 1.0
+
+    def test_relative_accuracy_against_mpmath(self):
+        # S = I_{sech^2(x/2)}(b, 1/2) and h = f/S as the reference, past the
+        # point x ~ 745 where sigma(-x) underflows.
+        import mpmath as mp
+
+        xs = [10.0 ** (-12 + (math.log10(2e3) + 12) * j / 63) for j in range(64)]
+        worst_s = worst_h = 0.0
+        with mp.workdps(50):
+            for i in range(25):
+                b = 10.0 ** (-3 + i / 4)
+                d = GeneralizedHalfLogistic(b)
+                log_norm = mp.log(2) - mp.log(mp.beta(b, b))
+                for x in xs + [740.0, 746.0, 1000.0, 2000.0]:
+                    t = mp.mpf(x)
+                    s = mp.betainc(b, 0.5, 0, mp.sech(t / 2) ** 2, regularized=True)
+                    if s <= 1e-300:
+                        continue
+                    f = mp.exp(log_norm - b * t - 2 * b * mp.log1p(mp.exp(-t)))
+                    worst_s = max(worst_s, abs(d.survival(x) - s) / s)
+                    worst_h = max(worst_h, abs(d.hazard(x) - f / s) / (f / s))
+        assert worst_s <= 2e-12
+        assert worst_h <= 1e-13
 
 
 class TestIntervalProbability:

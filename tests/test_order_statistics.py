@@ -165,8 +165,8 @@ class TestRankCdf:
 
     @pytest.mark.parametrize("r, n", [(500, 1000), (1, 10000)])
     def test_log_gamma_calls_do_not_grow_with_n(self, monkeypatch, r, n):
-        # One incomplete beta for the rank plus one for the survival, three
-        # log_gamma calls each; the binomial sum made 3 per term.
+        # One incomplete beta for the rank, three log_gamma calls; the
+        # survival reads the cached log_norm. The binomial sum made 3 per term.
         calls = []
         original = special.log_gamma
 

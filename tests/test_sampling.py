@@ -160,3 +160,22 @@ class TestSampleOrderStat:
         d = GeneralizedHalfLogistic(2.0)
         with pytest.raises(ValueError):
             sample_order_stat(d, OrderIndex(1, 2), RngStream(seed=1), 0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True, 2.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: GeneralizedHalfLogistic(2.0).moment(v),
+        lambda v: sample(GeneralizedHalfLogistic(2.0), RngStream(seed=1), v),
+        lambda v: sample_order_stat(GeneralizedHalfLogistic(2.0), OrderIndex(1, 2), RngStream(seed=1), v),
+        lambda v: OrderIndex(v, 3),
+        lambda v: OrderIndex(1, v),
+    ],
+    ids=["moment", "sample", "sample_order_stat", "OrderIndex.r", "OrderIndex.n"],
+)
+def test_integer_arguments_raise_value_error(call, value):
+    # int() of an infinity raises OverflowError and bool passes as 1; both
+    # must be a ValueError.
+    with pytest.raises(ValueError):
+        call(value)

@@ -143,6 +143,10 @@ class TestCli:
         assert main(["eval", "pdf", "--b", "1000", "--x", "1e308"]) == 0
         assert capsys.readouterr().out.strip() == "0"
 
+    def test_eval_hazard_far_tail(self, capsys):
+        assert main(["eval", "hazard", "--b", "1", "--x", "760"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
     def test_eval_quantile(self, capsys):
         assert main(["eval", "quantile", "--b", "2", "--p", "0.5"]) == 0
         out = capsys.readouterr().out.strip()
