@@ -41,10 +41,10 @@ class RngStream:
     counter: int = 0
 
     def __post_init__(self) -> None:
-        if self.seed != int(self.seed) or not (0 <= self.seed <= _MASK64):
+        self.seed = _check_whole(self.seed, "seed", 0)
+        if self.seed > _MASK64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.counter != int(self.counter) or self.counter < 0:
-            raise ValueError(f"counter must be a nonnegative integer, got {self.counter!r}")
+        self.counter = _check_whole(self.counter, "counter", 0)
 
     def next_uniform(self) -> float:
         """Next uniform in (0, 1) exclusive; advances the counter by one."""

@@ -21,7 +21,6 @@ _CF_EPS = 1e-16
 _CF_MAX_ITER = 500
 _CF_TINY = 1e-300
 
-_NEWTON_MAX_STEPS = 100
 _F_TOL = 5e-14
 
 _STD_NORMAL = NormalDist()
@@ -153,9 +152,9 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
 
     Halley steps (plain Newton where the Halley correction is not
     trusted) from an Abramowitz & Stegun 26.5.22 or tail power-law seed
-    inside the bracket [0, 1]. Every iterate updates the bracket, a step
-    that leaves it bisects instead, and after 100 steps the solve falls
-    back to pure bisection, so convergence is unconditional.
+    inside the bracket [0, 1]. Every iterate becomes an end of the
+    bracket and a step that leaves it bisects instead, so the next iterate
+    lies strictly inside and the bracket shrinks on every pass.
     """
     _check_shape_pair(a, b)
     if not (0.0 <= q <= 1.0):
@@ -171,7 +170,7 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     lo, hi = 0.0, 1.0
     u = _inverse_seed(a, b, q, log_b)
 
-    for _ in range(_NEWTON_MAX_STEPS):
+    while True:
         fu = _reg_inc_beta_raw(a, b, u, log_b) - q
         if fu > 0.0:
             hi = u
@@ -202,14 +201,3 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
                 # The bracket is one ulp wide.
                 return u_new
         u = u_new
-
-    # Newton budget exhausted: plain bisection on the bracket.
-    while hi - lo > 1e-16 * max(lo, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _reg_inc_beta_raw(a, b, mid, log_b) - q > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)

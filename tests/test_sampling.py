@@ -50,6 +50,12 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(seed=seed, counter=counter)
 
+    def test_integral_float_seed_and_counter(self):
+        # Stored as int, so the mix's & and >> accept them.
+        a = RngStream(2.0, 3.0)
+        b = RngStream(2, 3)
+        assert [a.next_uniform() for _ in range(5)] == [b.next_uniform() for _ in range(5)]
+
 
 def _raw_ints(seed, count):
     from ghl3.sampling import _GOLDEN, _MASK64, _mix64
@@ -171,8 +177,10 @@ class TestSampleOrderStat:
         lambda v: sample_order_stat(GeneralizedHalfLogistic(2.0), OrderIndex(1, 2), RngStream(seed=1), v),
         lambda v: OrderIndex(v, 3),
         lambda v: OrderIndex(1, v),
+        lambda v: RngStream(seed=v),
+        lambda v: RngStream(seed=1, counter=v),
     ],
-    ids=["moment", "sample", "sample_order_stat", "OrderIndex.r", "OrderIndex.n"],
+    ids=["moment", "sample", "sample_order_stat", "OrderIndex.r", "OrderIndex.n", "RngStream.seed", "RngStream.counter"],
 )
 def test_integer_arguments_raise_value_error(call, value):
     # int() of an infinity raises OverflowError and bool passes as 1; both

@@ -201,3 +201,22 @@ class TestInverse:
                 counts.append(len(calls))
         assert sum(counts) / len(counts) <= 3.5
         assert max(counts) <= 8
+
+    def test_slow_solve_converges(self, monkeypatch):
+        # Tiny shapes with the root far from the seed, where the guarded
+        # steps need over 100 evaluations: the solve still ends accurate.
+        import mpmath as mp
+
+        raw = special._reg_inc_beta_raw
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return raw(*args)
+
+        monkeypatch.setattr(special, "_reg_inc_beta_raw", counting)
+        a, b, q = 0.007568994244746794, 0.182811910241098, 0.9598158834829645
+        u = inv_reg_inc_beta(a, b, q)
+        with mp.workdps(30):
+            assert abs(mp.betainc(a, b, 0, u, regularized=True) - q) <= 1e-15
+        assert len(calls) <= 120

@@ -193,6 +193,12 @@ class TestCli:
         assert len(rows) == 2
         assert rows[1][2] == "0.0000"
 
+    def test_table_off_tenths_step_labels_shortest_form(self, capsys):
+        # A step that leaves the tenths grid labels columns by %g.
+        assert main(["table", "cdf", "--b", "2", "--step", "0.25", "--x-max", "1"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == "b,x,0.0,0.25,0.5,0.75,1.0,1.25,1.5,1.75,2.0,2.25"
+
     @pytest.mark.parametrize("flags", [["--x-max", "5.9"], ["--step", "0.1"]])
     def test_table_explicit_grid_flag_is_honoured(self, capsys, flags):
         # Any grid flag asks for one grid: b=2 and b=3 both up to 5.9, where
