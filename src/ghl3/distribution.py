@@ -16,10 +16,12 @@ The cdf is computed two ways on purpose:
 * direct adaptive quadrature of the density (cdf_quadrature), kept as an
   independent cross-check of the closed form.
 
-Both are exposed; quantile, median and moments build on them, and the
-survival and hazard read the density and the closed form's continued
-fraction K: S = f*K/b, h = b/K. All operations are pure and instances are
-immutable, so values are safe to share across threads.
+Both are exposed; moments build on the density, and the survival and
+hazard read the density and the closed form's continued fraction K:
+S = f*K/b, h = b/K. The quantile and median invert the incomplete beta at
+(1/2, b), as tanh^2(X/2) = (2V - 1)^2 ~ Beta(1/2, b) for V ~ Beta(b, b).
+All operations are pure and instances are immutable, so values are safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -219,16 +221,15 @@ class GeneralizedHalfLogistic:
     def quantile(self, p: float) -> float:
         """100p-percentage point: the x with F(x) = p, for p in [0, 1).
 
-        Inverts the closed-form cdf: u = I^{-1}_{(1+p)/2}(b, b), then
-        x = log(u / (1 - u)). Unbounded as p -> 1, hence the open top end.
+        tanh^2(X/2) ~ Beta(1/2, b), so with u = I^{-1}_p(1/2, b) the quantile
+        is 2*atanh(sqrt(u)) = 2*log1p(sqrt(u)) - log1p(-u); the second form
+        reads 1 - u exactly near u = 1, where sqrt(u) rounds. Unbounded as
+        p -> 1, hence the open top end.
         """
         if not (0.0 <= p < 1.0):
             raise ValueError(f"quantile requires p in [0, 1), got {p!r}")
-        if p == 0.0:
-            return 0.0
-        u = inv_reg_inc_beta(self.b, self.b, 0.5 * (1.0 + p))
-        # u >= 1/2, so 1 - u is exact and the logit loses nothing.
-        return math.log(u) - math.log1p(-u)
+        u = inv_reg_inc_beta(0.5, self.b, p)
+        return 2.0 * math.log1p(math.sqrt(u)) - math.log1p(-u)
 
     def median(self) -> float:
         """The point x with F(x) = 1/2."""

@@ -2,9 +2,10 @@
 
 Everything here is scalar, pure, and written against binary64. The
 incomplete beta function is evaluated by a modified-Lentz continued
-fraction with the symmetry switch at u > a/(a+b); its inverse is a
-guarded Halley/Newton iteration inside a bisection bracket. Arguments
-up to ~1e3 are handled in log space so that B(b,b) never underflows.
+fraction with Numerical Recipes' symmetry switch at u > (a+1)/(a+b+2);
+its inverse is a guarded Halley/Newton iteration inside a bisection
+bracket. Arguments up to ~1e3 are handled in log space so that B(b,b)
+never underflows.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _reg_inc_beta_raw(a: float, b: float, u: float, log_b: float) -> float:
     # 0 < u < 1 strictly (the callers own the endpoints), and log B(a,b)
     # precomputed by the caller.
     front = math.exp(a * math.log(u) + b * math.log1p(-u) - log_b)
-    if u <= a / (a + b):
+    if u <= (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, u) / a
     return 1.0 - front * _betacf(b, a, 1.0 - u) / b
 
@@ -124,26 +125,40 @@ def _inverse_seed(a: float, b: float, q: float, log_b: float) -> float:
 
     Both shapes >= 1: the normal approximation of Abramowitz & Stegun
     26.5.22, which takes the upper-tail deviate -Phi^-1(q) (Numerical
-    Recipes `invbetai`). Otherwise the tail power laws
-    I_u ~ u^a / (a B) and 1 - I_u ~ (1-u)^b / (b B), split where NR
-    splits them.
+    Recipes `invbetai`); at a = 1/2, the quantile's kernel, the same
+    approximation of the symmetric problem that folds onto it. Otherwise
+    the tail power laws I_u ~ u^a / (a B) and 1 - I_u ~ (1-u)^b / (b B),
+    split where NR splits them.
     """
-    if a >= 1.0 and b >= 1.0:
+    log_low = (math.log(q) + math.log(a) + log_b) / a  # ln u of the lower power law
+    if a == 0.5 and b >= 1.0:
+        # (2V - 1)^2 ~ Beta(1/2, b) for V ~ Beta(b, b): the symmetric
+        # problem's deviate, written in x = logit V, with u = tanh^2(x/2).
+        z = _STD_NORMAL.inv_cdf(0.5 + 0.5 * q)
+        h = 2.0 * b - 1.0
+        x = 2.0 * z * math.sqrt(h + (z * z - 3.0) / 6.0) / h
+        u = math.tanh(0.5 * x) ** 2
+    elif a >= 1.0 and b >= 1.0:
         z = -_STD_NORMAL.inv_cdf(q)
         al = (z * z - 3.0) / 6.0
         sa = 1.0 / (2.0 * a - 1.0)
         sb = 1.0 / (2.0 * b - 1.0)
         h = 2.0 / (sa + sb)
         w = z * math.sqrt(h + al) / h - (sb - sa) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h))
-        # exp(700) keeps the far lower tail finite; the clamp below takes over.
+        # exp(700) keeps the far lower tail finite.
         u = a / (a + b * math.exp(min(2.0 * w, 700.0)))
     else:
         t = (a / (a + b)) ** a / a
         v = (b / (a + b)) ** b / b
         if q < t / (t + v):
-            u = math.exp((math.log(q * a) + log_b) / a)
+            u = math.exp(log_low)
         else:
             u = 1.0 - math.exp((math.log1p(-q) + math.log(b) + log_b) / b)
+    if b >= 1.0:
+        # I_u <= u^a / (a B) for b >= 1, so the lower power law lies below
+        # the root; it takes over in the far lower tail, where the normal
+        # deviate loses the root.
+        u = max(u, math.exp(log_low))
     return min(max(u, 1e-300), _BELOW_ONE)
 
 
@@ -151,10 +166,12 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     """Inverse of reg_inc_beta in its last argument: u with I_u(a, b) = q.
 
     Halley steps (plain Newton where the Halley correction is not
-    trusted) from an Abramowitz & Stegun 26.5.22 or tail power-law seed
-    inside the bracket [0, 1]. Every iterate becomes an end of the
-    bracket and a step that leaves it bisects instead, so the next iterate
-    lies strictly inside and the bracket shrinks on every pass.
+    trusted), on ln I_u below q = 1/2, from an Abramowitz & Stegun 26.5.22
+    or tail power-law seed inside the bracket [0, 1]. Every iterate becomes
+    an end of the bracket and a step that leaves it bisects instead, so the
+    next iterate lies strictly inside and the bracket shrinks on every
+    pass. The solve ends on a residual within _F_TOL, relative to q below
+    q = 1/2, or on a step that rounds away.
     """
     _check_shape_pair(a, b)
     if not (0.0 <= q <= 1.0):
@@ -169,9 +186,12 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     bm1 = b - 1.0
     lo, hi = 0.0, 1.0
     u = _inverse_seed(a, b, q, log_b)
+    # Relative in the lower tail, so that a tiny q still steers the solve.
+    tol = _F_TOL * min(1.0, 2.0 * q)
 
     while True:
-        fu = _reg_inc_beta_raw(a, b, u, log_b) - q
+        i_u = _reg_inc_beta_raw(a, b, u, log_b)
+        fu = i_u - q
         if fu > 0.0:
             hi = u
         else:
@@ -180,21 +200,33 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
         # pole of a shape below 1 it can pass the binary64 range.
         log_dens = am1 * math.log(u) + bm1 * math.log1p(-u) - log_b
         dens = math.exp(log_dens) if log_dens < _LOG_DBL_MAX else math.inf
-        step = fu / dens if 0.0 < dens < math.inf else math.nan
-        # Halley: f''/f' = (a-1)/u - (b-1)/(1-u) for the beta density. A
-        # correction outside (0, 2) means the step leaves the region where
-        # the local model holds (unguarded, it crawls through flat tails),
-        # so the plain Newton step is taken there.
-        corr = 1.0 - 0.5 * step * (am1 / u - bm1 / (1.0 - u))
+        # Halley on I_u - q, with f''/f' = (a-1)/u - (b-1)/(1-u) for the
+        # beta density. Below q = 1/2 it works on ln(I_u / q) instead:
+        # from far above a tiny q, the step on I_u - q crawls down the
+        # steep tail, while the one on the log is exact for an exponential
+        # tail. A correction outside (0, 2) means the step leaves the
+        # region where the local model holds, so the Newton step is taken.
+        if not 0.0 < dens < math.inf:
+            step = curv = math.nan
+        elif q < 0.5 and i_u > 0.0:
+            step = i_u * (math.log(i_u) - math.log(q)) / dens
+            curv = am1 / u - bm1 / (1.0 - u) - dens / i_u
+        else:
+            step = fu / dens
+            curv = am1 / u - bm1 / (1.0 - u)
+        corr = 1.0 - 0.5 * step * curv
         trusted = 0.0 < corr < 2.0
         if trusted:
             step /= corr
         u_new = u - step
         # A residual within tolerance ends the solve unless the local model
-        # says the root is still far off, as in a tail where q or 1 - q is
-        # below _F_TOL. The last step is free: the density is in hand.
-        if abs(fu) <= _F_TOL and (trusted or math.isnan(step)):
+        # says the root is still far off, as in the upper tail where 1 - q
+        # is below _F_TOL. The last step is free: the density is in hand.
+        if abs(fu) <= tol and (trusted or math.isnan(step)):
             return u_new if lo < u_new < hi else u
+        if u_new == u:
+            # The step rounds away: u is the root to binary64 precision.
+            return u
         if not (lo < u_new < hi):
             u_new = 0.5 * (lo + hi)
             if u_new == lo or u_new == hi:

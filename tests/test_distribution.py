@@ -403,6 +403,56 @@ class TestQuantilesAndMode:
                     )
                     assert abs(x - ref) <= 2e-11 * ref, (b, p)
 
+    def test_lower_tail_relative_accuracy_against_mpmath(self):
+        # Root of F(x) = p at 40 digits, solved in ln x from the origin's
+        # slope F ~ f(0) x with f(0) = 2 / (B(b, b) 4^b). Below p ~ 1e-13 an
+        # absolute residual bound on the solve lets the quantile land anywhere.
+        import mpmath as mp
+
+        with mp.workdps(40):
+            for b in [1e-3, 0.03, 0.5, 2.0, 30.0, 1e3]:
+                d = GeneralizedHalfLogistic(b)
+                f0 = 2 / (mp.beta(b, b) * mp.mpf(4) ** b)
+                for p in [1e-100, 1e-50, 1e-20, 1e-13, 1e-8, 1e-5, 1e-3]:
+                    ref = mp.exp(mp.findroot(
+                        lambda y: mp.log(mp.betainc(0.5, b, 0, mp.tanh(mp.exp(y) / 2) ** 2,
+                                                    regularized=True) / p),
+                        mp.log(p / f0),
+                    ))
+                    x = d.quantile(p)
+                    assert abs(x - ref) <= 1e-11 * ref, (b, p)
+
+    def test_kernel_evaluations_per_quantile(self, monkeypatch):
+        # Work bound on the quantile's solve at (1/2, b), counted in
+        # incomplete-beta evaluations, over both tails. The extra point took
+        # 54 evaluations as a solve at (b, b).
+        from ghl3 import special
+
+        raw = special._reg_inc_beta_raw
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return raw(*args)
+
+        monkeypatch.setattr(special, "_reg_inc_beta_raw", counting)
+        ps = [1e-12 * 5e11 ** (k / 11) for k in range(12)]
+        ps += [1.0 - 1e-9 * 5e8 ** (k / 11) for k in range(12)]
+        points = [(1e-3 * 10 ** (k / 4), p) for k in range(25) for p in ps]
+        points.append((0.5, 1.0 - 1e-6))
+        counts = []
+        for b, p in points:
+            calls.clear()
+            try:
+                GeneralizedHalfLogistic(b).quantile(p)
+            except ValueError:
+                # At small b the upper-tail root rounds to u = 1 after the
+                # solve, and atanh(1) raises; the solve's cost still counts.
+                pass
+            counts.append(len(calls))
+        assert sum(counts) / len(counts) <= 2.5
+        assert max(counts) <= 8
+
     @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5, math.nan])
     def test_quantile_domain(self, p):
         with pytest.raises(ValueError):

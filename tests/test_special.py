@@ -202,6 +202,41 @@ class TestInverse:
         assert sum(counts) / len(counts) <= 3.5
         assert max(counts) <= 8
 
+    def test_lopsided_shapes_converge(self):
+        # Near u = a/(a+b) the continued fraction of such shapes runs out
+        # of terms; with the switch at (a+1)/(a+b+2) every evaluation of
+        # these solves lands on a side where it converges.
+        import mpmath as mp
+
+        with mp.workdps(30):
+            u = inv_reg_inc_beta(1000.0, 0.001, 1e-6)
+            assert abs(mp.betainc(1000.0, 0.001, 0, u, regularized=True) - 1e-6) <= 1e-11 * 1e-6
+            q = 1.0 - 1e-6
+            u = inv_reg_inc_beta(0.001, 1000.0, q)
+            assert abs(mp.betainc(0.001, 1000.0, 0, u, regularized=True) - q) <= 1e-15
+
+    def test_far_lower_tail_relative_residual(self, monkeypatch):
+        # q far below the absolute tolerance: the residual is held relative
+        # to q, and from a seed far above the root the step on ln I_u reaches
+        # it in a few evaluations where the step on I_u - q crawls.
+        import mpmath as mp
+
+        raw = special._reg_inc_beta_raw
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return raw(*args)
+
+        monkeypatch.setattr(special, "_reg_inc_beta_raw", counting)
+        for a, b, q in [(300.0, 300.0, 1e-255), (468.25, 179.14, 2.5e-300),
+                        (15.6, 2.28, 8.7e-299), (2.0, 5.0, 1e-200), (1000.0, 1000.0, 1e-100)]:
+            calls.clear()
+            u = inv_reg_inc_beta(a, b, q)
+            with mp.workdps(30):
+                assert abs(mp.betainc(a, b, 0, u, regularized=True) / q - 1) <= 1e-11, (a, b, q)
+            assert len(calls) <= 6, (a, b, q)
+
     def test_slow_solve_converges(self, monkeypatch):
         # Tiny shapes with the root far from the seed, where the guarded
         # steps need over 100 evaluations: the solve still ends accurate.
