@@ -16,10 +16,12 @@ The cdf is computed two ways on purpose:
 * direct adaptive quadrature of the density (cdf_quadrature), kept as an
   independent cross-check of the closed form.
 
-Both are exposed; moments build on the density, and the survival and
-hazard read the density and the closed form's continued fraction K:
-S = f*K/b, h = b/K. The quantile and median invert the incomplete beta at
-(1/2, b), as tanh^2(X/2) = (2V - 1)^2 ~ Beta(1/2, b) for V ~ Beta(b, b).
+Both are exposed; moments build on the density. As tanh^2(X/2) =
+(2V - 1)^2 ~ Beta(1/2, b) for V ~ Beta(b, b), with t = tanh(x/2) and
+s = sech^2(x/2) = 1 - t^2 the survival is S = I_s(b, 1/2) and the cdf
+F = I_{t^2}(1/2, b). Survival and hazard read one continued fraction of
+that pair, on the side of its switch where it is short; the quantile and
+median invert the incomplete beta at (1/2, b).
 All operations are pure and instances are immutable, so values are safe to
 share across threads.
 """
@@ -31,7 +33,7 @@ import numbers
 from dataclasses import dataclass, field
 
 from .quadrature import Tolerance, integrate_finite, integrate_semi_infinite
-from .special import _betacf, inv_reg_inc_beta, log_beta, reg_inc_beta
+from .special import _betacf, _log_beta_half, inv_reg_inc_beta, log_beta, reg_inc_beta
 
 __all__ = [
     "GeneralizedHalfLogistic",
@@ -44,6 +46,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_LN4 = math.log(4.0)
 _MAX_SHAPE = 1e3
 
 
@@ -124,16 +127,21 @@ class GeneralizedHalfLogistic:
 
     tol is the numeric policy handed to the quadrature-backed operations
     (cdf_quadrature, moment). log_norm caches ln 2 - ln B(b, b), the log
-    of the normalizing constant.
+    of the normalizing constant, as 2b ln 2 - ln B(1/2, b) by the
+    duplication formula B(b, b) = 2^(1-2b) B(1/2, b); ln B(1/2, b), which
+    the survival and hazard read too, is cached beside it.
     """
 
     b: float
     tol: Tolerance = Tolerance()
     log_norm: float = field(init=False, repr=False, compare=False)
+    _log_beta_half: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_shape(self.b)
-        object.__setattr__(self, "log_norm", _LN2 - log_beta(self.b, self.b))
+        log_beta_half = _log_beta_half(self.b)
+        object.__setattr__(self, "_log_beta_half", log_beta_half)
+        object.__setattr__(self, "log_norm", 2.0 * self.b * _LN2 - log_beta_half)
 
     # -- density ---------------------------------------------------------
 
@@ -169,20 +177,44 @@ class GeneralizedHalfLogistic:
         res = integrate_finite(self.pdf, 0.0, x, self.tol)
         return min(1.0, max(0.0, res.value))
 
+    def _survival_hazard(self, x: float) -> tuple[float, float]:
+        """(S, h) at x >= 0 from one continued fraction of the pair
+        S = I_s(b, 1/2), F = I_{t^2}(1/2, b), with f = s^b / B(1/2, b).
+
+        Numerical Recipes' switch puts each x on a side where the fraction
+        is short: far out (t^2 >= 3/(2b+5)) S = f*t*K/b and h = b/(t*K)
+        with K at (b, 1/2, s); near the origin S = 1 - 2*f*t*K' and h = f/S
+        with K' at (1/2, b, t^2), so S(0) = 1 and h(0) = f(0) exactly.
+        """
+        b = self.b
+        t = math.tanh(0.5 * x)
+        t2 = t * t
+        # ln s = log1p(-t^2) while t^2 keeps the digits of s; log_pdf's form
+        # cancels two terms near 2b ln 2 there. Further out the form keeps
+        # working where s underflows (x > ~745): there K = 1 and S = f*t/b.
+        if t2 < 0.5:
+            log_s = math.log1p(-t2)
+        else:
+            log_s = _LN4 - x - 2.0 * math.log1p(math.exp(-x))
+        f = math.exp(b * log_s - self._log_beta_half)
+        if t2 < 1.5 / (b + 2.5):
+            big_s = 1.0 - 2.0 * f * t * _betacf(0.5, b, t2)
+            return big_s, f / big_s
+        tk = t * _betacf(b, 0.5, math.exp(log_s))
+        return f * tk / b, b / tk
+
     def survival(self, x: float) -> float:
-        """1 - F(x) = f(x) * K / b, exactly 1 at x = 0. As sigma(-x) <= 1/2,
-        2*I_sigma(-x)(b, b) = f(x) * K / b with K the continued fraction at
-        (b, b, sigma(-x)), and once sigma(-x) underflows K = 1 and S = f/b."""
+        """1 - F(x) = I_s(b, 1/2) with s = sech^2(x/2), exactly 1 at x = 0.
+        Far out it is formed without a subtraction, so it keeps its digits
+        where F rounds to 1."""
         _check_support(x, "survival")
-        if x == 0.0:
-            return 1.0
-        return min(1.0, self.pdf(x) * _betacf(self.b, self.b, logistic_sigma(-x)) / self.b)
+        return self._survival_hazard(x)[0]
 
     def hazard(self, x: float) -> float:
-        """f(x) / (1 - F(x)) = b / K with K as in survival: finite for every
-        x, f(0) at the origin, tending to b."""
+        """f(x) / (1 - F(x)): finite for every x, f(0) = 1/B(1/2, b) at the
+        origin, tending to b."""
         _check_support(x, "hazard")
-        return self.b / _betacf(self.b, self.b, logistic_sigma(-x))
+        return self._survival_hazard(x)[1]
 
     def interval_prob(self, a1: float, a2: float) -> float:
         """P(a1 < X < a2) = S(a1) - S(a2) for 0 <= a1 <= a2; the survival
@@ -223,11 +255,18 @@ class GeneralizedHalfLogistic:
 
         tanh^2(X/2) ~ Beta(1/2, b), so with u = I^{-1}_p(1/2, b) the quantile
         is 2*atanh(sqrt(u)) = 2*log1p(sqrt(u)) - log1p(-u); the second form
-        reads 1 - u exactly near u = 1, where sqrt(u) rounds. Unbounded as
-        p -> 1, hence the open top end.
+        reads 1 - u exactly near u = 1, where sqrt(u) rounds. Below x = 1e-9
+        it is the line x = p*B(1/2, b). Unbounded as p -> 1, hence the open
+        top end.
         """
         if not (0.0 <= p < 1.0):
             raise ValueError(f"quantile requires p in [0, 1), got {p!r}")
+        # F(x) = x/B(1/2, b) * (1 - b x^2/12 + ...): below x = 1e-9 the
+        # correction is under 1e-16 for every b <= 1e3, while u = x^2/4
+        # would underflow once p is below about 1e-154.
+        x = p * math.exp(self._log_beta_half)
+        if x < 1e-9:
+            return x
         u = inv_reg_inc_beta(0.5, self.b, p)
         return 2.0 * math.log1p(math.sqrt(u)) - math.log1p(-u)
 

@@ -9,10 +9,12 @@ and cdf I_F(x)(r, n-r+1) (David & Nagaraja, Order Statistics, 2.1).
 Everything is computed from one closed-form survival call S(x) -- never by
 nesting quadrature inside quadrature -- and in log space or through the
 incomplete beta, so sample sizes up to 10^4 neither overflow nor lose the
-tails. F is read as 1 - S, exactly 0 at x = 0. Inside the kernel the
-closed-form cdf is 1 - f*K/b with f and K taken at the rounded 1 - sigma(x);
-S = f*K/b takes them from the log density and sigma(-x), so 1 - S is never
-less accurate, and it stays below 1 at small b where sigma(x) rounds to 1.
+tails. F is read as 1 - S, exactly 0 at x = 0. The survival is
+S = I_s(b, 1/2) with s = sech^2(x/2), one continued fraction of the
+(b, 1/2)/(1/2, b) pair taken on the side of its switch where it is short,
+so it costs a few terms at every shape. Far out it is formed without a
+subtraction from ln s, so 1 - S stays below 1 at small b, where sigma(x)
+and with it the closed-form cdf 2*I_sigma(x)(b, b) - 1 round to 1.
 """
 
 from __future__ import annotations

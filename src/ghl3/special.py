@@ -27,6 +27,9 @@ _F_TOL = 5e-14
 _STD_NORMAL = NormalDist()
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
+# ln u below which u rounds to 0.0: half the smallest subnormal.
+_LOG_HALF_TINY = math.log(5e-324) - math.log(2.0)
+_HALF_LN_PI = 0.5 * math.log(math.pi)
 
 
 def log_gamma(a: float) -> float:
@@ -42,6 +45,21 @@ def log_gamma(a: float) -> float:
 def log_beta(a: float, b: float) -> float:
     """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b)."""
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+
+
+def _log_beta_half(b: float) -> float:
+    """ln B(1/2, b) for b > 0, the normalizer of the (1/2, b) kernel.
+
+    For b >= 20, ln(pi)/2 minus the gamma-ratio series ln Gamma(b+1/2) -
+    ln Gamma(b) = ln(b)/2 - (1 - 1/(24b^2) + 1/(80b^4) - 17/(1792b^6))/(8b)
+    (Abramowitz & Stegun 6.1.47): log_beta would cancel ln Gamma terms in
+    the thousands there, leaving up to 1e-12.
+    """
+    if b < 20.0:
+        return log_beta(0.5, b)
+    w = 1.0 / (b * b)
+    series = (1.0 - w * (1.0 / 24 - w * (1.0 / 80 - w * 17.0 / 1792))) / (8.0 * b)
+    return _HALF_LN_PI - 0.5 * math.log(b) + series
 
 
 def _check_shape_pair(a: float, b: float) -> None:
@@ -121,7 +139,8 @@ def reg_inc_beta(a: float, b: float, u: float) -> float:
 
 
 def _inverse_seed(a: float, b: float, q: float, log_b: float) -> float:
-    """Initial guess for I_u(a,b) = q, strictly inside (0, 1).
+    """Initial guess for I_u(a,b) = q, strictly inside (0, 1), or 0.0 when
+    the root rounds to 0.0.
 
     Both shapes >= 1: the normal approximation of Abramowitz & Stegun
     26.5.22, which takes the upper-tail deviate -Phi^-1(q) (Numerical
@@ -131,6 +150,10 @@ def _inverse_seed(a: float, b: float, q: float, log_b: float) -> float:
     split where NR splits them.
     """
     log_low = (math.log(q) + math.log(a) + log_b) / a  # ln u of the lower power law
+    if log_low < _LOG_HALF_TINY:
+        # So deep in the lower tail I_u = u^a / (a B) to binary64
+        # precision, and its root lies below half the smallest subnormal.
+        return 0.0
     if a == 0.5 and b >= 1.0:
         # (2V - 1)^2 ~ Beta(1/2, b) for V ~ Beta(b, b): the symmetric
         # problem's deviate, written in x = logit V, with u = tanh^2(x/2).
@@ -181,11 +204,15 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     if q == 1.0:
         return 1.0
 
-    log_b = log_beta(a, b)
+    # At a = 1/2, the quantile's kernel, ln B by the series: an error in
+    # ln B moves the quantile by the same relative amount.
+    log_b = _log_beta_half(b) if a == 0.5 else log_beta(a, b)
     am1 = a - 1.0
     bm1 = b - 1.0
     lo, hi = 0.0, 1.0
     u = _inverse_seed(a, b, q, log_b)
+    if u == 0.0:
+        return 0.0
     # Relative in the lower tail, so that a tiny q still steers the solve.
     tol = _F_TOL * min(1.0, 2.0 * q)
 

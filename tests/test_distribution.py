@@ -5,6 +5,7 @@ of 2*I_sigma(x)(b,b) - 1 and of the defining integrals; grid checks use
 the quadrature route as the independent in-package oracle.
 """
 
+import functools
 import math
 import random
 
@@ -22,6 +23,32 @@ from ghl3 import (
 )
 
 LN3 = math.log(3.0)
+
+
+@functools.lru_cache(maxsize=None)
+def survival_hazard_worst_errors() -> tuple[float, float]:
+    """Worst relative errors of survival and hazard against 50-digit mpmath
+    over 25 log-spaced b in [1e-3, 1e3] x 64 log-spaced x in [1e-12, 2e3],
+    plus x past the point ~745 where sigma(-x) underflows. The reference is
+    S = I_{sech^2(x/2)}(b, 1/2) and h = f/S."""
+    import mpmath as mp
+
+    xs = [10.0 ** (-12 + (math.log10(2e3) + 12) * j / 63) for j in range(64)]
+    worst_s = worst_h = 0.0
+    with mp.workdps(50):
+        for i in range(25):
+            b = 10.0 ** (-3 + i / 4)
+            d = GeneralizedHalfLogistic(b)
+            log_norm = mp.log(2) - mp.log(mp.beta(b, b))
+            for x in xs + [740.0, 746.0, 1000.0, 2000.0]:
+                t = mp.mpf(x)
+                s = mp.betainc(b, 0.5, 0, mp.sech(t / 2) ** 2, regularized=True)
+                if s <= 1e-300:
+                    continue
+                f = mp.exp(log_norm - b * t - 2 * b * mp.log1p(mp.exp(-t)))
+                worst_s = max(worst_s, abs(d.survival(x) - s) / s)
+                worst_h = max(worst_h, abs(d.hazard(x) - f / s) / (f / s))
+    return float(worst_s), float(worst_h)
 
 
 class TestBaseHalfLogistic:
@@ -162,6 +189,39 @@ class TestDensity:
                         worst = max(worst, abs(d.pdf(float(x)) - ref) / ref)
         assert worst <= 3e-12
 
+    def test_large_shape_relative_accuracy_against_mpmath(self):
+        # log_norm = 2b ln 2 - ln B(1/2, b) with ln B(1/2, b) from the
+        # gamma-ratio series, not from ln Gamma terms in the thousands. The
+        # bound is log_pdf's own rounding: b times the error of
+        # x + 2 log1p(e^-x) ~ 2 ln 2, about 3.5e-13 even with a correctly
+        # rounded log_norm.
+        import mpmath as mp
+
+        worst = 0.0
+        with mp.workdps(30):
+            for i in range(11):
+                b = 300.0 * (1e3 / 300.0) ** (i / 10)
+                d = GeneralizedHalfLogistic(b)
+                log_norm = mp.log(2) - mp.log(mp.beta(b, b))
+                for j in range(40):
+                    x = mp.mpf(10.0 ** (-12 + (math.log10(700.0) + 12) * j / 39))
+                    ref = mp.exp(log_norm - b * x - 2 * b * mp.log1p(mp.exp(-x)))
+                    if ref >= 1e-300:
+                        worst = max(worst, abs(d.pdf(float(x)) - ref) / ref)
+        assert worst <= 5e-13
+
+    def test_cached_log_beta_half_against_mpmath(self):
+        # The series branch (b >= 20) and log_beta(1/2, b) below it.
+        import mpmath as mp
+
+        worst = 0.0
+        with mp.workdps(30):
+            for i in range(601):
+                b = 10.0 ** (-3 + i / 100)
+                ref = mp.log(mp.beta(0.5, b))
+                worst = max(worst, abs(GeneralizedHalfLogistic(b)._log_beta_half - ref))
+        assert worst <= 2e-14
+
     def test_negative_x_rejected(self):
         d = GeneralizedHalfLogistic(2.0)
         for method in (d.pdf, d.log_pdf, d.cdf, d.cdf_quadrature, d.survival, d.hazard):
@@ -251,27 +311,31 @@ class TestSurvivalHazard:
             assert GeneralizedHalfLogistic(10.0 ** (-3 + i / 10)).survival(0.0) == 1.0
 
     def test_relative_accuracy_against_mpmath(self):
-        # S = I_{sech^2(x/2)}(b, 1/2) and h = f/S as the reference, past the
-        # point x ~ 745 where sigma(-x) underflows.
+        worst_s, worst_h = survival_hazard_worst_errors()
+        assert worst_s <= 2e-12
+        assert worst_h <= 1e-13
+
+    def test_survival_tight_relative_accuracy_against_mpmath(self):
+        # Each side of the (b, 1/2)/(1/2, b) pair's switch reads ln s and
+        # ln B(1/2, b) without cancellation.
+        worst_s, _ = survival_hazard_worst_errors()
+        assert worst_s <= 3e-13
+
+    def test_hazard_times_survival_is_the_density_on_both_sides(self):
+        # h = b/(t K) far out and h = f/S near the origin; both must give
+        # h*S = f at the switch t^2 = 3/(2b + 5) and either side of it.
         import mpmath as mp
 
-        xs = [10.0 ** (-12 + (math.log10(2e3) + 12) * j / 63) for j in range(64)]
-        worst_s = worst_h = 0.0
-        with mp.workdps(50):
+        with mp.workdps(40):
             for i in range(25):
                 b = 10.0 ** (-3 + i / 4)
                 d = GeneralizedHalfLogistic(b)
                 log_norm = mp.log(2) - mp.log(mp.beta(b, b))
-                for x in xs + [740.0, 746.0, 1000.0, 2000.0]:
-                    t = mp.mpf(x)
-                    s = mp.betainc(b, 0.5, 0, mp.sech(t / 2) ** 2, regularized=True)
-                    if s <= 1e-300:
-                        continue
-                    f = mp.exp(log_norm - b * t - 2 * b * mp.log1p(mp.exp(-t)))
-                    worst_s = max(worst_s, abs(d.survival(x) - s) / s)
-                    worst_h = max(worst_h, abs(d.hazard(x) - f / s) / (f / s))
-        assert worst_s <= 2e-12
-        assert worst_h <= 1e-13
+                x_switch = 2.0 * math.atanh(math.sqrt(1.5 / (b + 2.5)))
+                for k in [0.01, 0.5, 0.999, 1.001, 2.0, 4.0]:
+                    x = k * x_switch
+                    f = mp.exp(log_norm - b * x - 2 * b * mp.log1p(mp.exp(-mp.mpf(x))))
+                    assert abs(d.hazard(x) * d.survival(x) - f) <= 1e-13 * f, (b, k)
 
 
 class TestIntervalProbability:
@@ -421,6 +485,30 @@ class TestQuantilesAndMode:
                     ))
                     x = d.quantile(p)
                     assert abs(x - ref) <= 1e-11 * ref, (b, p)
+
+    def test_far_lower_tail_against_mpmath(self):
+        # x = p B(1/2, b) below 1e-9, where the inverse's u = tanh^2(x/2)
+        # would underflow once p is below about 1e-154.
+        import mpmath as mp
+
+        with mp.workdps(40):
+            for b in [1e-3, 2.0, 1e3]:
+                d = GeneralizedHalfLogistic(b)
+                for p in [1e-300, 1e-200, 1e-20]:
+                    x = d.quantile(p)
+                    got = mp.betainc(0.5, b, 0, mp.tanh(mp.mpf(x) / 2) ** 2, regularized=True)
+                    assert abs(got - p) <= 1e-14 * p, (b, p)
+
+    def test_monotone_across_the_linear_tail(self):
+        # The line x = p B(1/2, b) hands over to the solve at x = 1e-9;
+        # sample_order_stat relies on a nondecreasing quantile.
+        for i in range(25):
+            b = 10.0 ** (-3 + i / 4)
+            d = GeneralizedHalfLogistic(b)
+            p_edge = 1e-9 / math.exp(d._log_beta_half)
+            for step in (1e-13, 1e-11, 1e-9):
+                xs = [d.quantile(p_edge * (1.0 + k * step)) for k in range(-50, 51)]
+                assert all(x1 <= x2 for x1, x2 in zip(xs, xs[1:])), (b, step)
 
     def test_kernel_evaluations_per_quantile(self, monkeypatch):
         # Work bound on the quantile's solve at (1/2, b), counted in

@@ -237,6 +237,36 @@ class TestInverse:
                 assert abs(mp.betainc(a, b, 0, u, regularized=True) / q - 1) <= 1e-11, (a, b, q)
             assert len(calls) <= 6, (a, b, q)
 
+    def test_half_shape_relative_residual_at_large_b(self):
+        # At a = 1/2, the quantile's kernel, ln B comes from the gamma-ratio
+        # series; log_beta(1/2, b) is off by up to 1e-12 at b ~ 1e3, and the
+        # root with it.
+        import mpmath as mp
+
+        with mp.workdps(40):
+            for b in [20.0, 100.0, 300.0, 1000.0]:
+                for q in [1e-100, 1e-10, 1e-3, 0.3, 0.7, 0.99]:
+                    got = mp.betainc(0.5, b, 0, inv_reg_inc_beta(0.5, b, q), regularized=True)
+                    assert abs(got - q) <= 1e-13 * min(q, 1 - q), (b, q)
+
+    def test_underflowing_root_returns_zero_without_kernel_calls(self, monkeypatch):
+        # The lower power law puts these roots below half the smallest
+        # subnormal, which bisection would reach in 79 evaluations; a root
+        # inside the subnormal range is still solved.
+        raw = special._reg_inc_beta_raw
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return raw(*args)
+
+        monkeypatch.setattr(special, "_reg_inc_beta_raw", counting)
+        for a, b, q in [(0.0064, 0.0064, 3.3e-224), (0.5, 2.0, 1e-200)]:
+            calls.clear()
+            assert inv_reg_inc_beta(a, b, q) == 0.0
+            assert not calls, (a, b, q)
+        assert inv_reg_inc_beta(0.5, 1000.0, 1e-160) == 5e-324
+
     def test_slow_solve_converges(self, monkeypatch):
         # Tiny shapes with the root far from the seed, where the guarded
         # steps need over 100 evaluations: the solve still ends accurate.
