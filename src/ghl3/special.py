@@ -4,8 +4,9 @@ Everything here is scalar, pure, and written against binary64. The
 incomplete beta function is evaluated by a modified-Lentz continued
 fraction with Numerical Recipes' symmetry switch at u > (a+1)/(a+b+2);
 its inverse is a guarded Halley/Newton iteration inside a bisection
-bracket. Arguments up to ~1e3 are handled in log space so that B(b,b)
-never underflows.
+bracket that stops once a trusted Halley step is cubically small, most
+often after one evaluation. Arguments up to ~1e3 are handled in log space
+so that B(b,b) never underflows.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ _CF_MAX_ITER = 500
 _CF_TINY = 1e-300
 
 _F_TOL = 5e-14
+# A trusted Halley step below this share of min(u, 1 - u) leaves an error of
+# order its cube, so the solve returns it without another evaluation.
+_STOP_STEP = 1e-5
 
 _STD_NORMAL = NormalDist()
 _BELOW_ONE = math.nextafter(1.0, 0.0)
@@ -145,21 +149,37 @@ def _inverse_seed(a: float, b: float, q: float, log_b: float) -> float:
     Both shapes >= 1: the normal approximation of Abramowitz & Stegun
     26.5.22, which takes the upper-tail deviate -Phi^-1(q) (Numerical
     Recipes `invbetai`); at a = 1/2, the quantile's kernel, the same
-    approximation of the symmetric problem that folds onto it. Otherwise
-    the tail power laws I_u ~ u^a / (a B) and 1 - I_u ~ (1-u)^b / (b B),
-    split where NR splits them.
+    approximation of the symmetric problem that folds onto it, or from
+    b = 20 its Cornish-Fisher expansion to order 1/b^2. Otherwise the tail
+    power laws I_u ~ u^a / (a B) and 1 - I_u ~ (1-u)^b / (b B), split where
+    NR splits them; below u = 1e-300 the lower one is the root, unclamped.
     """
     log_low = (math.log(q) + math.log(a) + log_b) / a  # ln u of the lower power law
     if log_low < _LOG_HALF_TINY:
         # So deep in the lower tail I_u = u^a / (a B) to binary64
         # precision, and its root lies below half the smallest subnormal.
         return 0.0
+    if log_low < -690.0:
+        # Unclamped: from the 1e-300 floor a subnormal root takes bisection.
+        return math.exp(log_low)
     if a == 0.5 and b >= 1.0:
         # (2V - 1)^2 ~ Beta(1/2, b) for V ~ Beta(b, b): the symmetric
         # problem's deviate, written in x = logit V, with u = tanh^2(x/2).
         z = _STD_NORMAL.inv_cdf(0.5 + 0.5 * q)
-        h = 2.0 * b - 1.0
-        x = 2.0 * z * math.sqrt(h + (z * z - 3.0) / 6.0) / h
+        if b < 20.0:
+            h = 2.0 * b - 1.0
+            x = 2.0 * z * math.sqrt(h + (z * z - 3.0) / 6.0) / h
+        else:
+            # Cornish-Fisher for logit V, symmetric with cumulants kappa_2j =
+            # 2 psi^(2j-1)(b): psi', psi''' and psi^(5) by their series in 1/b.
+            w = 1.0 / b
+            w2 = w * w
+            k2 = 2.0 * w * (1.0 + w * (0.5 + w * (1.0 / 6 - w2 * (1.0 / 30 - w2 / 42))))
+            g2 = 2.0 * w2 * w * (2.0 + w * (3.0 + w * (2.0 - w2))) / (k2 * k2)
+            g4 = 2.0 * w2 * w2 * w * (24.0 + w * (60.0 + 60.0 * w)) / (k2 * k2 * k2)
+            z2 = z * z
+            c = 1.0 + g2 * (z2 - 3.0) / 24 + g4 * (z2 * (z2 - 10.0) + 15.0) / 720
+            x = math.sqrt(k2) * z * (c - g2 * g2 * (z2 * (3.0 * z2 - 24.0) + 29.0) / 384)
         u = math.tanh(0.5 * x) ** 2
     elif a >= 1.0 and b >= 1.0:
         z = -_STD_NORMAL.inv_cdf(q)
@@ -189,12 +209,14 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     """Inverse of reg_inc_beta in its last argument: u with I_u(a, b) = q.
 
     Halley steps (plain Newton where the Halley correction is not
-    trusted), on ln I_u below q = 1/2, from an Abramowitz & Stegun 26.5.22
-    or tail power-law seed inside the bracket [0, 1]. Every iterate becomes
-    an end of the bracket and a step that leaves it bisects instead, so the
-    next iterate lies strictly inside and the bracket shrinks on every
-    pass. The solve ends on a residual within _F_TOL, relative to q below
-    q = 1/2, or on a step that rounds away.
+    trusted), on ln I_u below q = 1/2, from an Abramowitz & Stegun 26.5.22,
+    Cornish-Fisher or tail power-law seed inside the bracket [0, 1]. Every
+    iterate becomes an end of the bracket and a step that leaves it bisects
+    instead, so the next iterate lies strictly inside and the bracket
+    shrinks on every pass. The solve ends on a residual within _F_TOL,
+    relative to q below q = 1/2, on a step that rounds away, or after a
+    trusted Halley step within _STOP_STEP of min(u, 1 - u), whose error is
+    of order its cube.
     """
     _check_shape_pair(a, b)
     if not (0.0 <= q <= 1.0):
@@ -223,24 +245,28 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
             hi = u
         else:
             lo = u
-        # Density of the beta distribution at u, in log space; next to a
+        # Density f of the beta distribution at u, in log space; next to a
         # pole of a shape below 1 it can pass the binary64 range.
         log_dens = am1 * math.log(u) + bm1 * math.log1p(-u) - log_b
-        dens = math.exp(log_dens) if log_dens < _LOG_DBL_MAX else math.inf
         # Halley on I_u - q, with f''/f' = (a-1)/u - (b-1)/(1-u) for the
         # beta density. Below q = 1/2 it works on ln(I_u / q) instead:
         # from far above a tiny q, the step on I_u - q crawls down the
         # steep tail, while the one on the log is exact for an exponential
-        # tail. A correction outside (0, 2) means the step leaves the
-        # region where the local model holds, so the Newton step is taken.
-        if not 0.0 < dens < math.inf:
+        # tail. That step needs only I/f, formed in logs: next to a
+        # subnormal root f overflows, while I/f ~ u/a does not. A
+        # correction outside (0, 2) means the step leaves the region where
+        # the local model holds, so the Newton step is taken.
+        low = q < 0.5 and i_u > 0.0
+        log_scale = math.log(i_u) - log_dens if low else -log_dens
+        scale = math.exp(log_scale) if log_scale < _LOG_DBL_MAX else math.inf
+        curv = am1 / u - bm1 / (1.0 - u)
+        if not 0.0 < scale < math.inf:
             step = curv = math.nan
-        elif q < 0.5 and i_u > 0.0:
-            step = i_u * (math.log(i_u) - math.log(q)) / dens
-            curv = am1 / u - bm1 / (1.0 - u) - dens / i_u
+        elif low:
+            step = scale * (math.log(i_u) - math.log(q))
+            curv -= 1.0 / scale
         else:
-            step = fu / dens
-            curv = am1 / u - bm1 / (1.0 - u)
+            step = fu * scale
         corr = 1.0 - 0.5 * step * curv
         trusted = 0.0 < corr < 2.0
         if trusted:
@@ -251,6 +277,8 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
         # is below _F_TOL. The last step is free: the density is in hand.
         if abs(fu) <= tol and (trusted or math.isnan(step)):
             return u_new if lo < u_new < hi else u
+        if trusted and abs(step) <= _STOP_STEP * min(u, 1.0 - u) and lo < u_new < hi:
+            return u_new
         if u_new == u:
             # The step rounds away: u is the root to binary64 precision.
             return u

@@ -541,6 +541,59 @@ class TestQuantilesAndMode:
         assert sum(counts) / len(counts) <= 2.5
         assert max(counts) <= 8
 
+    def test_body_quantiles_take_one_or_two_evaluations(self, monkeypatch):
+        # A trusted Halley step below 1e-5 of min(u, 1 - u) ends the solve
+        # without another evaluation, and from b = 20 the Cornish-Fisher
+        # seed lies that close: most solves take one evaluation.
+        from ghl3 import special
+
+        raw = special._reg_inc_beta_raw
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return raw(*args)
+
+        monkeypatch.setattr(special, "_reg_inc_beta_raw", counting)
+        counts = []
+        for i in range(17):
+            d = GeneralizedHalfLogistic(0.5 * 2000.0 ** (i / 16))
+            for k in range(1, 28):
+                calls.clear()
+                d.quantile(k / 28)
+                counts.append(len(calls))
+        assert sum(counts) / len(counts) <= 1.6
+        assert max(counts) <= 3
+
+    def test_cornish_fisher_band_relative_accuracy_against_mpmath(self):
+        # The seed from b = 20 on: the root of F(x) = I_{tanh^2(x/2)}(1/2, b)
+        # = p at 40 digits, for p uniform on [1e-12, 1 - 1e-9] and, on every
+        # other draw, log-uniform in the lower tail. Past p ~ 1 - 1e-4 the
+        # solve's absolute residual bounds the accuracy instead (ROADMAP,
+        # solving in x).
+        import mpmath as mp
+
+        rng = random.Random(1311)
+        with mp.workdps(40):
+            for i in range(200):
+                b = 20.0 * 50.0 ** rng.random()
+                p = rng.uniform(1e-12, 1.0 - 1e-9) if i % 2 else 10.0 ** rng.uniform(-12, -0.3)
+                x = GeneralizedHalfLogistic(b).quantile(p)
+                ref = mp.findroot(
+                    lambda t: mp.betainc(0.5, b, 0, mp.tanh(t / 2) ** 2, regularized=True) - p,
+                    mp.mpf(x),
+                )
+                assert abs(x - ref) <= 1e-13 * ref, (b, p)
+
+    @pytest.mark.parametrize("b", [19.999, 20.0, 20.001])
+    def test_monotone_across_the_seed_switch(self, b):
+        # The seed changes at b = 20; sample_order_stat relies on a
+        # nondecreasing quantile on either side.
+        d = GeneralizedHalfLogistic(b)
+        ps = [k / 8000 for k in range(8000)] + [1.0 - 10.0 ** (-j / 4) for j in range(16, 37)]
+        xs = [d.quantile(p) for p in ps]
+        assert all(x1 <= x2 for x1, x2 in zip(xs, xs[1:]))
+
     @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5, math.nan])
     def test_quantile_domain(self, p):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ log_gamma wraps math.lgamma, so it is checked against mpmath, not lgamma.
 
 import math
 import random
+import sys
 
 import pytest
 from scipy import special as sp
@@ -265,7 +266,44 @@ class TestInverse:
             calls.clear()
             assert inv_reg_inc_beta(a, b, q) == 0.0
             assert not calls, (a, b, q)
-        assert inv_reg_inc_beta(0.5, 1000.0, 1e-160) == 5e-324
+        # The subnormal root 7.856e-324 rounds to 1e-323, two steps of the
+        # subnormal spacing 5e-324.
+        import mpmath as mp
+
+        with mp.workdps(50):
+            q = mp.mpf(1e-160)
+            root = mp.exp(mp.findroot(
+                lambda y: mp.log(mp.betainc(0.5, 1000, 0, mp.exp(y), regularized=True) / q), -744
+            ))
+            nearest = int(mp.nint(root / mp.mpf(5e-324))) * 5e-324
+        assert nearest == 1e-323
+        assert inv_reg_inc_beta(0.5, 1000.0, 1e-160) == nearest
+
+    def test_subnormal_roots_take_few_evaluations(self, monkeypatch):
+        # Seeded from the unclamped power law, with the step's ratio I/f
+        # formed in logs, where the density of a shape below 1 overflows.
+        # Bisecting down from a seed clamped at 1e-300 took up to 79.
+        raw = special._reg_inc_beta_raw
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return raw(*args)
+
+        monkeypatch.setattr(special, "_reg_inc_beta_raw", counting)
+        rng = random.Random(20261018)
+        counts = []
+        for _ in range(20000):
+            a, b = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)
+            q = 10.0 ** rng.uniform(-300, 0)
+            calls.clear()
+            if 0.0 < inv_reg_inc_beta(a, b, q) < sys.float_info.min:
+                counts.append(len(calls))
+        assert len(counts) >= 30
+        assert max(counts) <= 8
+        calls.clear()
+        inv_reg_inc_beta(0.01795, 0.01402, 8.84e-7)
+        assert len(calls) <= 8
 
     def test_slow_solve_converges(self, monkeypatch):
         # Tiny shapes with the root far from the seed, where the guarded
