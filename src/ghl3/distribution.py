@@ -11,16 +11,14 @@ half logistic distribution 2*e^x / (1 + e^x)^2.
 
 The cdf is computed two ways on purpose:
 
-* closed form: substituting u = e^t/(1+e^t) turns the defining integral
-  into an incomplete beta integral, giving F(x) = 2*I_sigma(x)(b, b) - 1;
+* closed form: tanh^2(X/2) = (2V - 1)^2 ~ Beta(1/2, b) for V ~ Beta(b, b),
+  so with t = tanh(x/2) and s = sech^2(x/2) = 1 - t^2 the cdf is
+  F(x) = I_{t^2}(1/2, b) and the survival S = I_s(b, 1/2);
 * direct adaptive quadrature of the density (cdf_quadrature), kept as an
   independent cross-check of the closed form.
 
-Both are exposed; moments build on the density. As tanh^2(X/2) =
-(2V - 1)^2 ~ Beta(1/2, b) for V ~ Beta(b, b), with t = tanh(x/2) and
-s = sech^2(x/2) = 1 - t^2 the survival is S = I_s(b, 1/2) and the cdf
-F = I_{t^2}(1/2, b). Survival and hazard read one continued fraction of
-that pair, on the side of its switch where it is short; the quantile and
+Both are exposed; moments build on the density. The cdf, survival and
+hazard read one short continued fraction of that pair; the quantile and
 median invert the incomplete beta at (1/2, b).
 All operations are pure and instances are immutable, so values are safe to
 share across threads.
@@ -63,6 +61,11 @@ def logistic_sigma(x: float) -> float:
 def _check_support(x: float, what: str) -> None:
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"{what} is supported on [0, inf), got {x!r}")
+
+
+def _near_origin(t2: float, b: float) -> bool:
+    """Numerical Recipes' switch of the (1/2, b) kernel at t^2 = 3/(2b + 5)."""
+    return t2 < 1.5 / (b + 2.5)
 
 
 def _check_shape(b: float) -> None:
@@ -158,12 +161,10 @@ class GeneralizedHalfLogistic:
     # -- distribution function, two routes --------------------------------
 
     def cdf(self, x: float) -> float:
-        """F(x) = 2*I_sigma(x)(b, b) - 1 with sigma(x) = e^x/(1+e^x)."""
+        """F(x) = I_{t^2}(1/2, b) with t = tanh(x/2); near the origin a front
+        factor times a short continued fraction, with no digits cancelled."""
         _check_support(x, "cdf")
-        if x == 0.0:
-            return 0.0
-        v = 2.0 * reg_inc_beta(self.b, self.b, logistic_sigma(x)) - 1.0
-        return min(1.0, max(0.0, v))
+        return reg_inc_beta(0.5, self.b, math.tanh(0.5 * x) ** 2)
 
     def cdf_quadrature(self, x: float) -> float:
         """F(x) by adaptive quadrature of the density over [0, x].
@@ -172,19 +173,16 @@ class GeneralizedHalfLogistic:
         Propagates ConvergenceError if the integrator gives up.
         """
         _check_support(x, "cdf_quadrature")
-        if x == 0.0:
-            return 0.0
         res = integrate_finite(self.pdf, 0.0, x, self.tol)
         return min(1.0, max(0.0, res.value))
 
     def _survival_hazard(self, x: float) -> tuple[float, float]:
         """(S, h) at x >= 0 from one continued fraction of the pair
-        S = I_s(b, 1/2), F = I_{t^2}(1/2, b), with f = s^b / B(1/2, b).
-
-        Numerical Recipes' switch puts each x on a side where the fraction
-        is short: far out (t^2 >= 3/(2b+5)) S = f*t*K/b and h = b/(t*K)
-        with K at (b, 1/2, s); near the origin S = 1 - 2*f*t*K' and h = f/S
-        with K' at (1/2, b, t^2), so S(0) = 1 and h(0) = f(0) exactly.
+        S = I_s(b, 1/2), F = I_{t^2}(1/2, b), with f = s^b / B(1/2, b), on
+        the side of _near_origin's switch where it is short: far out
+        S = f*t*K/b and h = b/(t*K) with K at (b, 1/2, s); near the origin
+        S = 1 - 2*f*t*K' and h = f/S with K' at (1/2, b, t^2), so S(0) = 1
+        and h(0) = f(0) exactly.
         """
         b = self.b
         t = math.tanh(0.5 * x)
@@ -197,7 +195,7 @@ class GeneralizedHalfLogistic:
         else:
             log_s = _LN4 - x - 2.0 * math.log1p(math.exp(-x))
         f = math.exp(b * log_s - self._log_beta_half)
-        if t2 < 1.5 / (b + 2.5):
+        if _near_origin(t2, b):
             big_s = 1.0 - 2.0 * f * t * _betacf(0.5, b, t2)
             return big_s, f / big_s
         tk = t * _betacf(b, 0.5, math.exp(log_s))
@@ -217,12 +215,14 @@ class GeneralizedHalfLogistic:
         return self._survival_hazard(x)[1]
 
     def interval_prob(self, a1: float, a2: float) -> float:
-        """P(a1 < X < a2) = S(a1) - S(a2) for 0 <= a1 <= a2; the survival
-        keeps the upper tail, where the closed-form cdf rounds to 1."""
+        """P(a1 < X < a2), 0 <= a1 <= a2: F(a2) - F(a1) below the kernel's
+        switch, where F keeps its digits, else S(a1) - S(a2), as F nears 1."""
         _check_support(a1, "interval_prob")
         _check_support(a2, "interval_prob")
         if a1 > a2:
             raise ValueError(f"interval endpoints out of order: {a1!r} > {a2!r}")
+        if _near_origin(math.tanh(0.5 * a2) ** 2, self.b):
+            return max(0.0, self.cdf(a2) - self.cdf(a1))
         return max(0.0, self.survival(a1) - self.survival(a2))
 
     # -- moments -----------------------------------------------------------

@@ -9,12 +9,10 @@ and cdf I_F(x)(r, n-r+1) (David & Nagaraja, Order Statistics, 2.1).
 Everything is computed from one closed-form survival call S(x) -- never by
 nesting quadrature inside quadrature -- and in log space or through the
 incomplete beta, so sample sizes up to 10^4 neither overflow nor lose the
-tails. F is read as 1 - S, exactly 0 at x = 0. The survival is
-S = I_s(b, 1/2) with s = sech^2(x/2), one continued fraction of the
-(b, 1/2)/(1/2, b) pair taken on the side of its switch where it is short,
-so it costs a few terms at every shape. Far out it is formed without a
-subtraction from ln s, so 1 - S stays below 1 at small b, where sigma(x)
-and with it the closed-form cdf 2*I_sigma(x)(b, b) - 1 round to 1.
+tails. F is read as 1 - S, exactly 0 at x = 0. The survival S = I_s(b, 1/2),
+s = sech^2(x/2), costs a few continued-fraction terms at every shape and
+far out is formed from ln s without a subtraction, so 1 - S stays below 1
+at small b, where t^2 = tanh^2(x/2) and the cdf I_{t^2}(1/2, b) round to 1.
 """
 
 from __future__ import annotations

@@ -130,7 +130,8 @@ def reg_inc_beta(a: float, b: float, u: float) -> float:
     """Regularized incomplete beta function I_u(a, b).
 
     Monotone nondecreasing in u, exact at u = 0 and u = 1. Absolute
-    accuracy is ~1e-13 or better over the supported shape range.
+    accuracy is ~1e-13 or better over the supported shape range. At
+    a = 1/2, the cdf's kernel, ln B comes from the _log_beta_half series.
     """
     _check_shape_pair(a, b)
     if not (0.0 <= u <= 1.0):
@@ -139,7 +140,8 @@ def reg_inc_beta(a: float, b: float, u: float) -> float:
         return 0.0
     if u == 1.0:
         return 1.0
-    return min(1.0, max(0.0, _reg_inc_beta_raw(a, b, u, log_beta(a, b))))
+    log_b = _log_beta_half(b) if a == 0.5 else log_beta(a, b)
+    return min(1.0, max(0.0, _reg_inc_beta_raw(a, b, u, log_b)))
 
 
 def _inverse_seed(a: float, b: float, q: float, log_b: float) -> float:
@@ -165,7 +167,8 @@ def _inverse_seed(a: float, b: float, q: float, log_b: float) -> float:
     if a == 0.5 and b >= 1.0:
         # (2V - 1)^2 ~ Beta(1/2, b) for V ~ Beta(b, b): the symmetric
         # problem's deviate, written in x = logit V, with u = tanh^2(x/2).
-        z = _STD_NORMAL.inv_cdf(0.5 + 0.5 * q)
+        # -Phi^-1((1 - q)/2): (1 + q)/2 rounds to 1 for q just below 1.
+        z = -_STD_NORMAL.inv_cdf(0.5 * (1.0 - q))
         if b < 20.0:
             h = 2.0 * b - 1.0
             x = 2.0 * z * math.sqrt(h + (z * z - 3.0) / 6.0) / h
@@ -226,8 +229,7 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     if q == 1.0:
         return 1.0
 
-    # At a = 1/2, the quantile's kernel, ln B by the series: an error in
-    # ln B moves the quantile by the same relative amount.
+    # As in reg_inc_beta: an error in ln B moves the quantile alike.
     log_b = _log_beta_half(b) if a == 0.5 else log_beta(a, b)
     am1 = a - 1.0
     bm1 = b - 1.0

@@ -239,6 +239,37 @@ class TestDensity:
             GeneralizedHalfLogistic(True)
 
 
+@functools.lru_cache(maxsize=None)
+def cdf_worst_errors() -> tuple[float, float]:
+    """Worst relative errors of the cdf against 40-digit mpmath over 25
+    log-spaced b in [1e-3, 1e3] x 119 log-spaced x in [1e-12, 560], plus
+    the points just below each switch, as (near side, far side). The near
+    side is t^2 < 3/(2b + 5) with t = tanh(x/2); the far side keeps the
+    points with 1 - t^2 > 1e-6, where rounding t^2 costs few digits of
+    1 - F. The reference is F = I_{t^2}(1/2, b)."""
+    import mpmath as mp
+
+    xs = [10.0 ** (-12 + (math.log10(560.0) + 12) * j / 118) for j in range(119)]
+    worst_near = worst_far = 0.0
+    with mp.workdps(40):
+        for i in range(25):
+            b = 10.0 ** (-3 + i / 4)
+            d = GeneralizedHalfLogistic(b)
+            x_switch = 2.0 * math.atanh(math.sqrt(1.5 / (b + 2.5)))
+            for x in xs + [x_switch * (1.0 - 1e-9), x_switch * 0.99]:
+                t2 = math.tanh(0.5 * x) ** 2
+                near = t2 < 1.5 / (b + 2.5)
+                if not near and 1.0 - t2 <= 1e-6:
+                    continue
+                ref = mp.betainc(0.5, b, 0, mp.tanh(mp.mpf(x) / 2) ** 2, regularized=True)
+                err = float(abs(d.cdf(x) - ref) / ref)
+                if near:
+                    worst_near = max(worst_near, err)
+                else:
+                    worst_far = max(worst_far, err)
+    return worst_near, worst_far
+
+
 class TestCdf:
     def test_frozen_values(self):
         assert GeneralizedHalfLogistic(2.0).cdf(1.0) == pytest.approx(0.64383265260590658, abs=1e-13)
@@ -247,6 +278,8 @@ class TestCdf:
         assert GeneralizedHalfLogistic(3.0).cdf(2.0) == pytest.approx(0.97189245617037413, abs=1e-13)
 
     def test_at_origin_and_monotone(self):
+        for i in range(61):
+            assert GeneralizedHalfLogistic(10.0 ** (-3 + i / 10)).cdf(0.0) == 0.0
         for b in [0.5, 2.0, 9.0]:
             d = GeneralizedHalfLogistic(b)
             assert d.cdf(0.0) == 0.0
@@ -265,6 +298,16 @@ class TestCdf:
             for i in range(count):
                 x = i / 10.0
                 assert abs(d.cdf(x) - d.cdf_quadrature(x)) <= 1e-9
+
+    def test_near_side_relative_accuracy_against_mpmath(self):
+        # Below the switch F is a front factor times a short continued
+        # fraction, with no subtraction, down to x = 1e-12 at b = 0.001.
+        worst_near, _ = cdf_worst_errors()
+        assert worst_near <= 1e-14
+
+    def test_far_side_relative_accuracy_against_mpmath(self):
+        _, worst_far = cdf_worst_errors()
+        assert worst_far <= 1e-12
 
     def test_quadrature_route_values(self):
         assert GeneralizedHalfLogistic(2.0).cdf_quadrature(0.5) == pytest.approx(
@@ -353,6 +396,23 @@ class TestIntervalProbability:
     def test_out_of_order_rejected(self):
         with pytest.raises(ValueError):
             GeneralizedHalfLogistic(2.0).interval_prob(2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "b, a1, a2", [(0.1, 0.0, 1e-9), (2.0, 0.0, 1e-6), (0.01, 30.0, 40.0)]
+    )
+    def test_both_sides_of_the_switch_against_mpmath(self, b, a1, a2):
+        # Near the origin F(a2) - F(a1) keeps the digits that S(a1) - S(a2)
+        # would cancel; past the switch S(a1) - S(a2) keeps those of F,
+        # which rounds to 1.
+        import mpmath as mp
+
+        with mp.workdps(40):
+            def cdf(x):
+                return mp.betainc(0.5, b, 0, mp.tanh(mp.mpf(x) / 2) ** 2, regularized=True)
+
+            ref = cdf(a2) - cdf(a1)
+        got = GeneralizedHalfLogistic(b).interval_prob(a1, a2)
+        assert abs(got - ref) <= 1e-14 * ref
 
     @pytest.mark.parametrize(
         "b, a1, a2", [(0.01, 30.0, 40.0), (0.001, 37.0, 100.0), (2.0, 20.0, 21.0)]
@@ -498,6 +558,24 @@ class TestQuantilesAndMode:
                     x = d.quantile(p)
                     got = mp.betainc(0.5, b, 0, mp.tanh(mp.mpf(x) / 2) ** 2, regularized=True)
                     assert abs(got - p) <= 1e-14 * p, (b, p)
+
+    def test_largest_p_below_one(self):
+        # (1 + p)/2 rounds to 1 at p = 1 - 2^-53; the seed takes its normal
+        # deviate from (1 - p)/2 instead. The root there is only as good as
+        # the solve's absolute residual allows (about 1% at b = 1).
+        import mpmath as mp
+
+        top = math.nextafter(1.0, 0.0)
+        with mp.workdps(40):
+            for b in [1.0, 2.0, 50.0, 1000.0]:
+                d = GeneralizedHalfLogistic(b)
+                x = d.quantile(top)
+                assert x >= d.quantile(1.0 - 1e-15), b
+                ref = mp.findroot(
+                    lambda t: mp.betainc(b, 0.5, 0, mp.sech(t / 2) ** 2, regularized=True) - 2.0**-53,
+                    mp.mpf(x),
+                )
+                assert abs(x - ref) <= 2e-2 * ref, b
 
     def test_monotone_across_the_linear_tail(self):
         # The line x = p B(1/2, b) hands over to the solve at x = 1e-9;

@@ -119,6 +119,19 @@ class TestRegIncBeta:
         with pytest.raises(ValueError):
             reg_inc_beta(2, 2, u)
 
+    def test_half_shape_direct_side_relative_accuracy_against_mpmath(self):
+        # At a = 1/2 ln B comes from the gamma-ratio series: ln Gamma terms
+        # in the thousands would cancel to about 1e-12.
+        import mpmath as mp
+
+        rng = random.Random(20)
+        with mp.workdps(40):
+            for _ in range(200):
+                b = 10.0 ** rng.uniform(math.log10(20.0), 3.0)
+                u = rng.uniform(0.0, 1.5 / (b + 2.5)) * rng.choice([1.0, 1e-3, 1e-8])
+                ref = mp.betainc(0.5, b, 0, u, regularized=True)
+                assert abs(reg_inc_beta(0.5, b, u) - ref) <= 1e-14 * ref, (b, u)
+
     def test_continued_fraction_failure_is_convergence_error(self):
         # Far outside the supported shapes the continued fraction runs out
         # of terms; that is a numeric failure, not a usage error.
