@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import replace
 
-from .distribution import GeneralizedHalfLogistic
+from .distribution import _MAX_SHAPE, GeneralizedHalfLogistic
 from .order_statistics import OrderIndex, pdf_rth
 from .quadrature import ConvergenceError, Tolerance
 from .sampling import RngStream, sample
@@ -48,7 +48,10 @@ def _parse_b_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected lo..hi with finite bounds, got {text!r}")
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return tuple(lo + k for k in range(int(hi - lo + 1e-9) + 1))
+    steps = int(hi - lo + 1e-9)
+    if not (lo > 0.0 and lo + steps <= _MAX_SHAPE):
+        raise argparse.ArgumentTypeError(f"range {text!r} leaves the shape domain (0, {_MAX_SHAPE:g}]")
+    return tuple(lo + k for k in range(steps + 1))
 
 
 def _add_tol_flags(p: argparse.ArgumentParser) -> None:

@@ -2,8 +2,10 @@
 
 A 7/15-point nested pair gives the per-panel error estimate for free;
 adaptivity bisects the worst panel until the summed estimate meets the
-tolerance. Panel nodes are strictly interior, so integrable endpoint
-behavior is tolerated and integrands are never sampled at lo or hi.
+global tolerance. The heap may start from breakpoints (QUADPACK qagp);
+a semi-infinite head starts from panels graded towards its lower bound.
+Panel nodes are strictly interior, so integrable endpoint behavior is
+tolerated and integrands are never sampled at lo or hi.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 __all__ = [
     "Tolerance",
@@ -151,28 +153,38 @@ def integrate_finite(
     lo: float,
     hi: float,
     tol: Tolerance = Tolerance(),
+    *,
+    breakpoints: Sequence[float] = (),
 ) -> QuadResult:
     """Integrate f over [lo, hi] to max(abs_tol, rel_tol * |integral|).
 
+    The heap starts from the panels between lo, the strictly increasing
+    interior breakpoints and hi (QUADPACK qagp); the tolerance is global.
     Endpoint values are never sampled. Raises ConvergenceError, carrying
-    the best estimate, if max_subdivisions panel splits do not reach the
-    tolerance.
+    the best estimate, if max_subdivisions panel splits do not reach it.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration bounds must be finite")
     if lo > hi:
         raise ValueError(f"lo must not exceed hi, got [{lo!r}, {hi!r}]")
+    edges = (lo, *breakpoints, hi)
+    if breakpoints and not all(a < b for a, b in zip(edges, edges[1:])):
+        raise ValueError(f"breakpoints must increase strictly inside ({lo!r}, {hi!r})")
     if lo == hi:
         return QuadResult(0.0, 0.0, 0)
 
-    value, err = _kronrod_panel(f, lo, hi)
-    evaluations = 15
+    value, err = _kronrod_panel(f, lo, edges[1])
     # Heap keyed on -err so the worst panel pops first; the counter breaks
     # ties deterministically.
-    heap = [(-err, 0, lo, hi, value)]
-    total_value = value
-    total_err = err
-    tick = 1
+    heap = [(-err, 0, lo, edges[1], value)]
+    total_value, total_err = value, err
+    for a, b in zip(breakpoints, edges[2:]):
+        value, err = _kronrod_panel(f, a, b)
+        heapq.heappush(heap, (-err, len(heap), a, b, value))
+        total_value += value
+        total_err += err
+    tick = len(heap)
+    evaluations = 15 * tick
     splits = 0
     while total_err > max(tol.abs_tol, tol.rel_tol * abs(total_value)):
         if splits >= tol.max_subdivisions:
@@ -210,11 +222,12 @@ def integrate_semi_infinite(
 ) -> QuadResult:
     """Integrate f over [lo, infinity) for exponentially decaying f.
 
-    The interval is truncated at lo + max(50, 60/min(1, decay_rate)) --
-    or at the caller-supplied truncation point -- then extended in equal
-    blocks until a whole block contributes less than abs_tol/10. An
-    integrand that refuses to decay exhausts the block budget and raises
-    ConvergenceError.
+    The head [lo, cut], with cut = lo + max(50, 60/min(1, decay_rate)) or
+    the caller's truncation, starts from panels graded by halving towards
+    lo down to about 1/decay_rate wide, under one global tolerance. Equal
+    blocks are then appended until one contributes less than abs_tol/10.
+    An integrand that refuses to decay exhausts the block budget and
+    raises ConvergenceError.
     """
     if not math.isfinite(lo):
         raise ValueError("lower bound must be finite")
@@ -227,13 +240,16 @@ def integrate_semi_infinite(
     else:
         cut = lo + max(50.0, 60.0 / min(1.0, decay_rate))
 
-    head = integrate_finite(f, lo, cut, tol)
+    # At most 53 halvings; past them an edge is below the resolution of lo.
+    width = cut - lo
+    levels = math.ceil(math.log2(min(max(width * decay_rate, 1.0), 2.0**53)))
+    grading = sorted({lo + math.ldexp(width, -k) for k in range(1, levels + 1)} - {lo, cut})
+    head = integrate_finite(f, lo, cut, tol, breakpoints=grading)
     value = head.value
     err = head.err_estimate
     evaluations = head.evaluations
-    block = cut - lo
     for k in range(_MAX_TAIL_BLOCKS):
-        seg = integrate_finite(f, cut + k * block, cut + (k + 1) * block, tol)
+        seg = integrate_finite(f, cut + k * width, cut + (k + 1) * width, tol)
         value += seg.value
         err += seg.err_estimate
         evaluations += seg.evaluations

@@ -84,6 +84,38 @@ class TestFinite:
         with pytest.raises(ValueError):
             integrate_finite(lambda x: math.inf, 0.0, 1.0)
 
+    def test_breakpoints_match_the_single_call(self):
+        battery = [
+            (math.sin, 0.0, math.pi, (0.5, 1.0, 3.0)),
+            (math.exp, 0.0, 1.0, (0.25,)),
+            (lambda x: x**-0.5, 0.0, 1.0, (2.0**-20, 2.0**-10, 0.5)),
+            (base_logistic_pdf, 0.0, 6.0, (1e-3, 1.0, 1.5, 5.999)),
+        ]
+        for f, lo, hi, breakpoints in battery:
+            whole = integrate_finite(f, lo, hi)
+            split = integrate_finite(f, lo, hi, breakpoints=breakpoints)
+            assert split.evaluations >= 15 * (len(breakpoints) + 1)
+            assert abs(split.value - whole.value) <= 2.0 * max(TOL.abs_tol, TOL.rel_tol * abs(whole.value))
+
+    @pytest.mark.parametrize(
+        "lo, hi, breakpoints",
+        [
+            (0.0, 1.0, (math.nan,)),
+            (0.0, 1.0, (math.inf,)),
+            (0.0, 1.0, (0.0,)),
+            (0.0, 1.0, (1.0,)),
+            (0.0, 1.0, (-0.5,)),
+            (0.0, 1.0, (1.5,)),
+            (0.0, 1.0, (0.5, 0.5)),
+            (0.0, 1.0, (0.7, 0.3)),
+            (2.0, 2.0, (2.0,)),
+        ],
+        ids=["nan", "inf", "at-lo", "at-hi", "below", "above", "repeated", "decreasing", "empty-span"],
+    )
+    def test_invalid_breakpoints_rejected(self, lo, hi, breakpoints):
+        with pytest.raises(ValueError, match="breakpoints"):
+            integrate_finite(math.cos, lo, hi, breakpoints=breakpoints)
+
 
 class TestSemiInfinite:
     def test_exponential(self):
@@ -113,6 +145,28 @@ class TestSemiInfinite:
 
     def test_explicit_truncation(self):
         r = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, truncation=80.0)
+        assert r.value == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("lo", [0.0, 1.0, 1e6])
+    def test_tiny_decay_rate(self, lo):
+        rate = 1e-300
+        r = integrate_semi_infinite(lambda x: rate * math.exp(-rate * (x - lo)), lo, decay_rate=rate)
+        assert r.value == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("lo", [0.0, 1.0, 1e6])
+    def test_huge_decay_rate(self, lo):
+        # The head's width times the rate overflows to inf, so the grading
+        # is clamped; at lo = 1e6 its narrowest edges round onto lo and
+        # are dropped.
+        r = integrate_semi_infinite(lambda x: math.exp(lo - x), lo, decay_rate=1e308)
+        assert r.value == pytest.approx(1.0, rel=1e-9)
+
+    def test_graded_head_finds_a_narrow_decay(self):
+        # From one panel on [0, 50] the 15 nodes all miss a decay length
+        # of 1/1000 and report about 3e-109 as converged.
+        f = lambda x: 1000.0 * math.exp(-1000.0 * x)
+        assert integrate_finite(f, 0.0, 50.0).value < 1e-90
+        r = integrate_semi_infinite(f, 0.0, decay_rate=1000.0)
         assert r.value == pytest.approx(1.0, abs=1e-10)
 
     def test_bad_decay_rate(self):

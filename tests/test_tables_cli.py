@@ -257,6 +257,13 @@ class TestCli:
             main(["table", "moments", "--b-list", text])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("text", ["1..1e300", "999..1001", "0..3", "-2..5"])
+    def test_b_list_outside_the_shape_domain_is_usage_error(self, text):
+        # Rejected by the parser before a single shape is built.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table", "moments", "--b-list", text])
+        assert excinfo.value.code == 2
+
     def test_sample_deterministic(self, capsys):
         assert main(["sample", "--b", "2", "--count", "3", "--seed", "7"]) == 0
         first = capsys.readouterr().out
