@@ -4,8 +4,8 @@ A 7/15-point nested pair gives the per-panel error estimate for free;
 adaptivity bisects the worst panel until the summed estimate meets the
 global tolerance. The heap may start from breakpoints (QUADPACK qagp);
 a semi-infinite head starts from panels graded towards its lower bound.
-Panel nodes are strictly interior, so integrable endpoint behavior is
-tolerated and integrands are never sampled at lo or hi.
+Panel nodes round strictly inside (or ConvergenceError is raised), so
+integrable endpoint behavior is tolerated and lo, hi are never sampled.
 """
 
 from __future__ import annotations
@@ -108,13 +108,17 @@ class ConvergenceError(RuntimeError):
 
 
 def _kronrod_panel(f: Callable[[float], float], lo: float, hi: float):
-    """One 15-point panel: returns (value, err_estimate).
+    """One 15-point panel: returns (value, err_estimate), or None without
+    sampling f when the outer nodes would round onto lo or hi.
 
     Error estimate follows the QUADPACK recipe: |K15 - G7| sharpened by
     the scaled deviation resasc, floored at 50 eps times the L1 norm.
     """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
+    dx = half * _XGK[0]
+    if not lo < center - dx < center + dx < hi:
+        return None
     fc = f(center)
     resg = _WG_CENTER * fc
     resk = _WGK_CENTER * fc
@@ -160,8 +164,8 @@ def integrate_finite(
 
     The heap starts from the panels between lo, the strictly increasing
     interior breakpoints and hi (QUADPACK qagp); the tolerance is global.
-    Endpoint values are never sampled. Raises ConvergenceError, carrying
-    the best estimate, if max_subdivisions panel splits do not reach it.
+    Raises ConvergenceError, carrying the best estimate, if a panel is too
+    narrow for its nodes or max_subdivisions splits do not reach the tolerance.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration bounds must be finite")
@@ -173,13 +177,16 @@ def integrate_finite(
     if lo == hi:
         return QuadResult(0.0, 0.0, 0)
 
-    value, err = _kronrod_panel(f, lo, edges[1])
     # Heap keyed on -err so the worst panel pops first; the counter breaks
     # ties deterministically.
-    heap = [(-err, 0, lo, edges[1], value)]
-    total_value, total_err = value, err
-    for a, b in zip(breakpoints, edges[2:]):
-        value, err = _kronrod_panel(f, a, b)
+    heap = []
+    total_value = total_err = 0.0
+    for a, b in zip(edges, edges[1:]):
+        panel = _kronrod_panel(f, a, b)
+        if panel is None:
+            best = QuadResult(total_value, math.inf, 15 * len(heap))
+            raise ConvergenceError(f"panel [{a!r}, {b!r}] too narrow for its nodes", best)
+        value, err = panel
         heapq.heappush(heap, (-err, len(heap), a, b, value))
         total_value += value
         total_err += err
@@ -194,15 +201,15 @@ def integrate_finite(
             )
         neg_err, _, a, b, v = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            # Worst panel is a single ulp wide; no further refinement is
-            # possible, so the requested tolerance is unreachable.
+        left, right = _kronrod_panel(f, a, mid), _kronrod_panel(f, mid, b)
+        if left is None or right is None:
+            # The halves of the worst panel would be sampled at their ends;
+            # no further refinement is possible, so the tolerance is unreachable.
             raise ConvergenceError(
                 f"worst panel [{a!r}, {b!r}] too narrow to subdivide",
                 QuadResult(total_value, total_err, evaluations),
             )
-        v1, e1 = _kronrod_panel(f, a, mid)
-        v2, e2 = _kronrod_panel(f, mid, b)
+        (v1, e1), (v2, e2) = left, right
         evaluations += 30
         splits += 1
         total_value += v1 + v2 - v
@@ -240,10 +247,12 @@ def integrate_semi_infinite(
     else:
         cut = lo + max(50.0, 60.0 / min(1.0, decay_rate))
 
-    # At most 53 halvings; past them an edge is below the resolution of lo.
+    # Halving stops near 1/decay_rate, or before a panel is under 512 ulps
+    # of the head's ends wide, where its nodes could round onto them.
     width = cut - lo
-    levels = math.ceil(math.log2(min(max(width * decay_rate, 1.0), 2.0**53)))
-    grading = sorted({lo + math.ldexp(width, -k) for k in range(1, levels + 1)} - {lo, cut})
+    most = width / (1024.0 * math.ulp(max(abs(lo), abs(cut))))
+    levels = math.ceil(math.log2(max(min(width * decay_rate, most), 1.0)))
+    grading = [lo + math.ldexp(width, -k) for k in range(levels, 0, -1)]
     head = integrate_finite(f, lo, cut, tol, breakpoints=grading)
     value = head.value
     err = head.err_estimate

@@ -4,9 +4,9 @@ Everything here is scalar, pure, and written against binary64. The
 incomplete beta function is evaluated by a modified-Lentz continued
 fraction with Numerical Recipes' symmetry switch at u > (a+1)/(a+b+2);
 its inverse is a guarded Halley/Newton iteration inside a bisection
-bracket that stops once a trusted Halley step is cubically small, most
-often after one evaluation. Arguments up to ~1e3 are handled in log space
-so that B(b,b) never underflows.
+bracket that stops once a trusted Halley step is cubically small, after
+one evaluation at (1/2, b >= 2) from Hill's Student-t quantile seed.
+Arguments up to ~1e3 are handled in log space so B(b,b) never underflows.
 """
 
 from __future__ import annotations
@@ -148,13 +148,13 @@ def _inverse_seed(a: float, b: float, q: float, log_b: float) -> float:
     """Initial guess for I_u(a,b) = q, strictly inside (0, 1), or 0.0 when
     the root rounds to 0.0.
 
-    Both shapes >= 1: the normal approximation of Abramowitz & Stegun
-    26.5.22, which takes the upper-tail deviate -Phi^-1(q) (Numerical
-    Recipes `invbetai`); at a = 1/2, the quantile's kernel, the same
-    approximation of the symmetric problem that folds onto it, or from
-    b = 20 its Cornish-Fisher expansion to order 1/b^2. Otherwise the tail
-    power laws I_u ~ u^a / (a B) and 1 - I_u ~ (1-u)^b / (b B), split where
-    NR splits them; below u = 1e-300 the lower one is the root, unclamped.
+    At a = 1/2 and b >= 1, the quantile's kernel, u = T^2/(2b + T^2) with T
+    Hill's Student t quantile (CACM Algorithm 396) for 2b degrees of freedom
+    at two-tailed level 1 - q. Other shapes >= 1: the normal approximation
+    of Abramowitz & Stegun 26.5.22 with the upper-tail deviate -Phi^-1(q)
+    (Numerical Recipes `invbetai`). Otherwise the tail power laws I_u ~
+    u^a / (a B) and 1 - I_u ~ (1-u)^b / (b B), split where NR splits them;
+    below u = 1e-300 the lower one is the root, unclamped.
     """
     log_low = (math.log(q) + math.log(a) + log_b) / a  # ln u of the lower power law
     if log_low < _LOG_HALF_TINY:
@@ -165,25 +165,27 @@ def _inverse_seed(a: float, b: float, q: float, log_b: float) -> float:
         # Unclamped: from the 1e-300 floor a subnormal root takes bisection.
         return math.exp(log_low)
     if a == 0.5 and b >= 1.0:
-        # (2V - 1)^2 ~ Beta(1/2, b) for V ~ Beta(b, b): the symmetric
-        # problem's deviate, written in x = logit V, with u = tanh^2(x/2).
-        # -Phi^-1((1 - q)/2): (1 + q)/2 rounds to 1 for q just below 1.
-        z = -_STD_NORMAL.inv_cdf(0.5 * (1.0 - q))
-        if b < 20.0:
-            h = 2.0 * b - 1.0
-            x = 2.0 * z * math.sqrt(h + (z * z - 3.0) / 6.0) / h
-        else:
-            # Cornish-Fisher for logit V, symmetric with cumulants kappa_2j =
-            # 2 psi^(2j-1)(b): psi', psi''' and psi^(5) by their series in 1/b.
-            w = 1.0 / b
-            w2 = w * w
-            k2 = 2.0 * w * (1.0 + w * (0.5 + w * (1.0 / 6 - w2 * (1.0 / 30 - w2 / 42))))
-            g2 = 2.0 * w2 * w * (2.0 + w * (3.0 + w * (2.0 - w2))) / (k2 * k2)
-            g4 = 2.0 * w2 * w2 * w * (24.0 + w * (60.0 + 60.0 * w)) / (k2 * k2 * k2)
+        # T = sqrt(nu)(2V - 1)/(2 sqrt(V(1 - V))) is Student t with nu = 2b
+        # for V ~ Beta(b, b), so u = T^2/(nu + T^2): Hill's quantile at the
+        # two-tailed level 1 - q gives y = T^2/nu, tail branch as in R's qt.
+        nu, p2 = 2.0 * b, 1.0 - q
+        h = 1.0 / (nu - 0.5)
+        g = 48.0 / (h * h)
+        c = ((20700.0 * h / g - 98.0) * h - 16.0) * h + 96.36
+        d = ((94.5 / (g + c) - 3.0) / g + 1.0) * math.sqrt(h * math.pi / 2.0) * nu
+        y = (d * p2) ** (2.0 / nu)
+        if y > 0.05 + h:
+            z = _STD_NORMAL.inv_cdf(0.5 * p2)
             z2 = z * z
-            c = 1.0 + g2 * (z2 - 3.0) / 24 + g4 * (z2 * (z2 - 10.0) + 15.0) / 720
-            x = math.sqrt(k2) * z * (c - g2 * g2 * (z2 * (3.0 * z2 - 24.0) + 29.0) / 384)
-        u = math.tanh(0.5 * x) ** 2
+            if nu < 5.0:
+                c += 0.3 * (nu - 4.5) * (z + 0.6)
+            c += (((0.05 * d * z - 5.0) * z - 7.0) * z - 2.0) * z + g
+            w = (((((0.4 * z2 + 6.3) * z2 + 36.0) * z2 + 94.5) / c - z2 - 3.0) / g + 1.0) * z
+            y = math.expm1(h * w * w)
+        else:
+            w = 1.0 / (((nu + 6.0) / (nu * y) - 0.089 * d - 0.822) * (nu + 2.0) * 3.0)
+            y = ((w + 0.5 / (nu + 4.0)) * y - 1.0) * (nu + 1.0) / (nu + 2.0) + 1.0 / y
+        u = y / (1.0 + y)
     elif a >= 1.0 and b >= 1.0:
         z = -_STD_NORMAL.inv_cdf(q)
         al = (z * z - 3.0) / 6.0
@@ -212,8 +214,8 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     """Inverse of reg_inc_beta in its last argument: u with I_u(a, b) = q.
 
     Halley steps (plain Newton where the Halley correction is not
-    trusted), on ln I_u below q = 1/2, from an Abramowitz & Stegun 26.5.22,
-    Cornish-Fisher or tail power-law seed inside the bracket [0, 1]. Every
+    trusted), on ln I_u below q = 1/2, from a Hill t-quantile, Abramowitz &
+    Stegun 26.5.22 or tail power-law seed inside the bracket [0, 1]. Every
     iterate becomes an end of the bracket and a step that leaves it bisects
     instead, so the next iterate lies strictly inside and the bracket
     shrinks on every pass. The solve ends on a residual within _F_TOL,

@@ -116,6 +116,36 @@ class TestFinite:
         with pytest.raises(ValueError, match="breakpoints"):
             integrate_finite(math.cos, lo, hi, breakpoints=breakpoints)
 
+    def test_panel_too_narrow_for_its_nodes_raises(self):
+        # Two ulps wide: the outer Kronrod nodes would round onto the ends,
+        # where this integrand divides by zero.
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return 1.0 / (x - 1.0)
+
+        with pytest.raises(ConvergenceError) as info:
+            integrate_finite(f, 1.0, 1.0 + 4.5e-16)
+        assert xs == []
+        assert info.value.best.evaluations == 0
+
+    def test_bisection_stops_before_sampling_a_breakpoint(self):
+        # The singularity at the breakpoint draws the bisection towards it;
+        # it stops once the halves would sample their ends.
+        c = 1.3
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return 1.0 / math.sqrt(abs(x - c))
+
+        with pytest.raises(ConvergenceError) as info:
+            integrate_finite(f, 1.0, 2.0, Tolerance(1e-300, 1e-300, 1000), breakpoints=(c,))
+        assert c not in xs
+        exact = 2.0 * math.sqrt(c - 1.0) + 2.0 * math.sqrt(2.0 - c)
+        assert abs(info.value.best.value - exact) <= info.value.best.err_estimate
+
 
 class TestSemiInfinite:
     def test_exponential(self):
@@ -156,10 +186,32 @@ class TestSemiInfinite:
     @pytest.mark.parametrize("lo", [0.0, 1.0, 1e6])
     def test_huge_decay_rate(self, lo):
         # The head's width times the rate overflows to inf, so the grading
-        # is clamped; at lo = 1e6 its narrowest edges round onto lo and
-        # are dropped.
+        # is clamped; at lo = 1e6 the halving stops before panels too
+        # narrow for their nodes.
         r = integrate_semi_infinite(lambda x: math.exp(lo - x), lo, decay_rate=1e308)
         assert r.value == pytest.approx(1.0, rel=1e-9)
+
+    def test_graded_head_stops_before_panels_too_narrow_for_their_nodes(self):
+        # Halving [1e6, 1e6 + 50] down to 1/decay_rate would leave edges a
+        # few ulps above lo, where the first panel's nodes round onto lo.
+        # The integral is about 1e-308.
+        lo = 1e6
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return math.exp(-1e308 * (x - lo))
+
+        r = integrate_semi_infinite(f, lo, decay_rate=1e308)
+        assert min(xs) > lo
+        assert abs(r.value - 1e-308) <= TOL.abs_tol
+
+    @pytest.mark.parametrize("lo", [1e16, 1e17])
+    def test_head_too_narrow_for_its_nodes_raises(self, lo):
+        # cut = lo + 50 lies a few ulps above lo, so the head's nodes would
+        # round onto its ends.
+        with pytest.raises(ConvergenceError):
+            integrate_semi_infinite(lambda x: math.exp(lo - x), lo)
 
     def test_graded_head_finds_a_narrow_decay(self):
         # From one panel on [0, 50] the 15 nodes all miss a decay length
