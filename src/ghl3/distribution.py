@@ -151,12 +151,15 @@ class GeneralizedHalfLogistic:
     def log_pdf(self, x: float) -> float:
         """log f(x) = log_norm - b*(x + 2*log(1 + e^-x)); nothing overflows,
         so a huge x gives -inf."""
-        _check_support(x, "log_pdf")
+        if not 0.0 <= x < math.inf:
+            _check_support(x, "log_pdf")
         return self.log_norm - self.b * (x + 2.0 * math.log1p(math.exp(-x)))
 
     def pdf(self, x: float) -> float:
         """Density (2 / B(b,b)) * e^(b*x) / (1 + e^x)^(2b) for x >= 0."""
-        return math.exp(self.log_pdf(x))
+        if not 0.0 <= x < math.inf:
+            _check_support(x, "pdf")
+        return math.exp(self.log_norm - self.b * (x + 2.0 * math.log1p(math.exp(-x))))
 
     # -- distribution function, two routes --------------------------------
 

@@ -225,8 +225,9 @@ class TestDensity:
     def test_negative_x_rejected(self):
         d = GeneralizedHalfLogistic(2.0)
         for method in (d.pdf, d.log_pdf, d.cdf, d.cdf_quadrature, d.survival, d.hazard):
-            with pytest.raises(ValueError):
-                method(-1e-9)
+            for x in (-1e-9, math.nan):
+                with pytest.raises(ValueError, match=f"^{method.__name__} is supported"):
+                    method(x)
 
     @pytest.mark.parametrize("b", [0.0, -2.0, math.inf, math.nan, 1e3 + 1])
     def test_invalid_shape_rejected(self, b):

@@ -5,7 +5,16 @@ import random
 
 import pytest
 
-from ghl3 import ConvergenceError, QuadResult, Tolerance, integrate_finite, integrate_semi_infinite
+from ghl3 import (
+    ConvergenceError,
+    GeneralizedHalfLogistic,
+    QuadResult,
+    Tolerance,
+    integrate_finite,
+    integrate_semi_infinite,
+    quadrature,
+)
+from ghl3.quadrature import _kronrod_panel
 
 TOL = Tolerance()
 
@@ -147,6 +156,99 @@ class TestFinite:
         assert abs(info.value.best.value - exact) <= info.value.best.err_estimate
 
 
+def loop_qk15(f, lo, hi):
+    """QUADPACK's qk15 in its loop form: (value, err, resabs, resasc), the
+    reference for the unrolled _kronrod_panel."""
+    q = quadrature
+    xgk = (q._X1, q._X2, q._X3, q._X4, q._X5, q._X6, q._X7)
+    wgk = (q._WK1, q._WK2, q._WK3, q._WK4, q._WK5, q._WK6, q._WK7)
+    wg = (q._WG2, q._WG4, q._WG6)
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fc = f(center)
+    resg = q._WG_CENTER * fc
+    resk = q._WGK_CENTER * fc
+    resabs = q._WGK_CENTER * abs(fc)
+    pairs = []
+    for j in range(7):
+        dx = half * xgk[j]
+        f1 = f(center - dx)
+        f2 = f(center + dx)
+        pairs.append((f1, f2))
+        resk += wgk[j] * (f1 + f2)
+        resabs += wgk[j] * (abs(f1) + abs(f2))
+        if j & 1:
+            resg += wg[j >> 1] * (f1 + f2)
+    reskh = 0.5 * resk
+    resasc = q._WGK_CENTER * abs(fc - reskh)
+    for j, (f1, f2) in enumerate(pairs):
+        resasc += wgk[j] * (abs(f1 - reskh) + abs(f2 - reskh))
+    resabs *= half
+    resasc *= half
+    err = abs((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return resk * half, max(err, 50.0 * math.ulp(1.0) * resabs), resabs, resasc
+
+
+class TestKronrodPanel:
+    @pytest.mark.parametrize(
+        "f, lo, hi",
+        [
+            (lambda x: x**5 - 3.0 * x * x + 1.0, 0.3, 2.1),
+            (math.exp, -1.0, 3.0),
+            (lambda x: math.cos(5.0 * x), 0.0, 3.0),
+            (lambda x: 2.5, 1.0, 4.0),
+        ],
+        ids=["polynomial", "exp", "sign_change", "constant"],
+    )
+    def test_bit_identical_to_the_loop_form(self, f, lo, hi):
+        value, err, resabs, resasc = loop_qk15(f, lo, hi)
+        assert _kronrod_panel(f, lo, hi) == (value, err)
+        # A sign change makes resabs differ from |resk|; a constant has resasc = 0.
+        if f(lo) * f(hi) < 0.0:
+            assert resabs > abs(value)
+        if f(lo) == f(hi):
+            assert resasc == 0.0
+
+    def test_bit_identical_on_random_panels(self):
+        rng = random.Random(15)
+        d = GeneralizedHalfLogistic(3.7)
+        fs = (math.cos, lambda x: x**3 * d.pdf(x), lambda x: 1.0 / (1.0 + x * x))
+        for _ in range(300):
+            lo = rng.uniform(0.0, 20.0)
+            hi = lo + 10.0 ** rng.uniform(-10.0, 1.5)
+            for f in fs:
+                assert _kronrod_panel(f, lo, hi) == loop_qk15(f, lo, hi)[:2]
+
+    def test_node_order(self):
+        # The center, then each symmetric pair from the outermost node
+        # inwards, left node before right.
+        unrolled, looped = [], []
+        _kronrod_panel(lambda x: unrolled.append(x) or x, 0.25, 3.5)
+        loop_qk15(lambda x: looped.append(x) or x, 0.25, 3.5)
+        assert unrolled == looped
+        assert len(unrolled) == 15
+        assert unrolled[0] == 1.875
+        assert unrolled[1::2] == sorted(unrolled[1::2])
+        assert unrolled[2::2] == sorted(unrolled[2::2], reverse=True)
+        assert all(a < unrolled[0] < b for a, b in zip(unrolled[1::2], unrolled[2::2]))
+
+    def test_too_narrow_returns_none_without_sampling(self):
+        xs = []
+        assert _kronrod_panel(xs.append, 1.0, 1.0 + 4.5e-16) is None
+        assert xs == []
+
+    def test_moments_bit_identical_to_the_loop_form(self, monkeypatch):
+        # The moments as the loop-form panel and pdf = exp(log_pdf) give them.
+        grid = [GeneralizedHalfLogistic(10.0 ** (-3 + i / 10)) for i in range(61)]
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_kronrod_panel", lambda f, lo, hi: loop_qk15(f, lo, hi)[:2])
+            m.setattr(GeneralizedHalfLogistic, "pdf", lambda self, x: math.exp(self.log_pdf(x)))
+            reference = [d.moment(n) for d in grid for n in range(1, 5)]
+        assert [d.moment(n) for d in grid for n in range(1, 5)] == reference
+
+
 class TestSemiInfinite:
     def test_exponential(self):
         r = integrate_semi_infinite(lambda x: math.exp(-x), 0.0)
@@ -206,10 +308,10 @@ class TestSemiInfinite:
         assert min(xs) > lo
         assert abs(r.value - 1e-308) <= TOL.abs_tol
 
-    @pytest.mark.parametrize("lo", [1e16, 1e17])
+    @pytest.mark.parametrize("lo", [1e16, 1e17, 1e20])
     def test_head_too_narrow_for_its_nodes_raises(self, lo):
         # cut = lo + 50 lies a few ulps above lo, so the head's nodes would
-        # round onto its ends.
+        # round onto its ends; at 1e20 it rounds onto lo itself.
         with pytest.raises(ConvergenceError):
             integrate_semi_infinite(lambda x: math.exp(lo - x), lo)
 
