@@ -3,7 +3,8 @@
 Cells are formatted once, here, with Python's half-even fixed-point
 rounding, so that CLI output, golden files, and tests all agree byte for
 byte. The cdf grid keeps the row-label = whole part / column-header =
-fractional offset layout of the classic printed tables.
+fractional offset layout of the classic printed tables; each moments row
+is one GeneralizedHalfLogistic.moments pass.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _build_moments(spec: TableSpec, tol: Tolerance) -> Table:
     rows = []
     for b in spec.b_values:
         dist = GeneralizedHalfLogistic(b, tol)
-        cells = [format_fixed(dist.moment(n), spec.precision) for n in range(1, spec.n_max + 1)]
+        cells = [format_fixed(m, spec.precision) for m in dist.moments(spec.n_max)]
         rows.append((f"{b:g}", *cells))
     return Table(columns=columns, rows=tuple(rows))
 

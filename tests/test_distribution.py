@@ -12,7 +12,9 @@ import random
 import pytest
 
 from ghl3 import (
+    ConvergenceError,
     GeneralizedHalfLogistic,
+    QuadResult,
     Tolerance,
     half_logistic_cdf,
     half_logistic_pdf,
@@ -381,6 +383,17 @@ class TestSurvivalHazard:
                     f = mp.exp(log_norm - b * x - 2 * b * mp.log1p(mp.exp(-mp.mpf(x))))
                     assert abs(d.hazard(x) * d.survival(x) - f) <= 1e-13 * f, (b, k)
 
+    @pytest.mark.parametrize("b", [1e-8, 1e-10, 1e-12])
+    def test_continued_fraction_stops_one_ulp_from_one(self, b):
+        # At small b the continued fraction's delta settles at 1 - 2^-53;
+        # a stop rule below that gap ran all terms and raised there.
+        d = GeneralizedHalfLogistic(b)
+        for i in range(2000):
+            x = 2.0 + i / 100.0
+            assert 0.0 <= d.cdf(x) <= 1.0
+            assert 0.0 <= d.survival(x) <= 1.0
+            assert 0.0 < d.hazard(x) < math.inf
+
 
 class TestIntervalProbability:
     def test_reference_difference(self):
@@ -457,7 +470,7 @@ class TestMoments:
         # bend near the origin at small b: 9.8e-9 at b=0.00178, n=1.
         import mpmath as mp
 
-        worst = 0.0
+        worst = worst_joint = 0.0
         with mp.workdps(30):
             for i in range(25):
                 b = 10.0 ** (-3 + i / 4)
@@ -470,9 +483,13 @@ class TestMoments:
                 refs = {n: mp.quad(lambda x: x**n * pdf(x), points) for n in (1, 3)}
                 refs[2] = k2
                 refs[4] = 2 * mp.psi(3, b) + 3 * k2**2
+                joint = d.moments(4)
                 for n, ref in refs.items():
                     worst = max(worst, abs(d.moment(n) - ref) / ref)
+                    worst_joint = max(worst_joint, abs(joint[n - 1] - ref) / ref)
         assert worst <= 1e-10
+        # One pass meets every order's tolerance on the shared partition.
+        assert worst_joint <= 1e-12
 
     def test_evaluations_per_moment(self):
         # The graded head starts where bisection from one panel would
@@ -487,6 +504,48 @@ class TestMoments:
                     lambda x: x**n * d.pdf(x), 0.0, d.tol, decay_rate=b
                 ).evaluations
         assert total / (61 * 4) <= 240
+
+    def test_density_evaluations_per_moments_pass(self, monkeypatch):
+        # One pass samples the density once per node for all four orders:
+        # about 263 evaluations, where four calls to moment make about 880.
+        calls = 0
+        pdf = GeneralizedHalfLogistic.pdf
+
+        def counting_pdf(self, x):
+            nonlocal calls
+            calls += 1
+            return pdf(self, x)
+
+        monkeypatch.setattr(GeneralizedHalfLogistic, "pdf", counting_pdf)
+        for i in range(61):
+            GeneralizedHalfLogistic(10.0 ** (-3 + i / 10)).moments(4)
+        assert calls / 61 <= 300
+
+    def test_moments_agree_with_moment(self):
+        for b in [0.01, 1.0, 2.0, 7.5, 300.0]:
+            d = GeneralizedHalfLogistic(b)
+            assert d.moments(4) == pytest.approx([d.moment(n) for n in range(1, 5)], rel=1e-10)
+        assert GeneralizedHalfLogistic(2.0).moments(1) == pytest.approx((0.88629436111989062,))
+
+    @pytest.mark.parametrize("n_max", [0, -1, True, 2.5, math.inf, math.nan, "4"])
+    def test_moments_order_rejected(self, n_max):
+        with pytest.raises(ValueError):
+            GeneralizedHalfLogistic(2.0).moments(n_max)
+
+    def test_head_beyond_the_double_range_raises_a_typed_error(self):
+        # 60/b overflows, so the head [0, inf] cannot be cut into panels.
+        d = GeneralizedHalfLogistic(5e-324)
+        for call in (lambda: d.moment(1), lambda: d.moments(4)):
+            with pytest.raises(ConvergenceError) as excinfo:
+                call()
+            assert excinfo.value.best == QuadResult(0.0, math.inf, 0)
+
+    def test_overflowing_moments_raise_a_typed_error(self):
+        # E[X^4] ~ 24/b^4 is far beyond the double range at b = 1e-300, and
+        # so is f(x) * x^4 on the head: the panel rejects it, where x**4
+        # alone would raise a bare OverflowError.
+        with pytest.raises(ValueError, match="non-finite"):
+            GeneralizedHalfLogistic(1e-300).moments(4)
 
     def test_mean_decreases_with_shape(self):
         means = [GeneralizedHalfLogistic(float(b)).moment(1) for b in range(1, 11)]

@@ -1,6 +1,8 @@
 """Quadrature tests against analytic antiderivatives and known integrals."""
 
+import functools
 import math
+import operator
 import random
 
 import pytest
@@ -14,7 +16,7 @@ from ghl3 import (
     integrate_semi_infinite,
     quadrature,
 )
-from ghl3.quadrature import _kronrod_panel
+from ghl3.quadrature import _kronrod_panel, _moments_panel
 
 TOL = Tolerance()
 
@@ -221,6 +223,23 @@ class TestKronrodPanel:
             for f in fs:
                 assert _kronrod_panel(f, lo, hi) == loop_qk15(f, lo, hi)[:2]
 
+    def test_moments_panel_bit_identical_to_each_order_alone(self):
+        # The joint panel samples the density once per node; each order's
+        # sums equal the scalar panel of pdf(x) * x * ... * x (n products).
+        rng = random.Random(15)
+        d = GeneralizedHalfLogistic(3.7)
+        orders = [lambda x, n=n: functools.reduce(operator.mul, [x] * n, d.pdf(x))
+                  for n in range(1, 5)]
+        for _ in range(300):
+            lo = rng.uniform(0.0, 20.0)
+            hi = lo + 10.0 ** rng.uniform(-10.0, 1.5)
+            assert _moments_panel(d.pdf, 4, lo, hi) == [_kronrod_panel(g, lo, hi) for g in orders]
+
+    def test_moments_panel_too_narrow_returns_none_without_sampling(self):
+        xs = []
+        assert _moments_panel(xs.append, 4, 1.0, 1.0 + 4.5e-16) is None
+        assert xs == []
+
     def test_node_order(self):
         # The center, then each symmetric pair from the outermost node
         # inwards, left node before right.
@@ -322,6 +341,14 @@ class TestSemiInfinite:
         assert integrate_finite(f, 0.0, 50.0).value < 1e-90
         r = integrate_semi_infinite(f, 0.0, decay_rate=1000.0)
         assert r.value == pytest.approx(1.0, abs=1e-10)
+
+    def test_head_beyond_the_double_range_raises(self):
+        # 60/decay_rate overflows below about 3.3e-307; no node is sampled.
+        xs = []
+        with pytest.raises(ConvergenceError) as excinfo:
+            integrate_semi_infinite(lambda x: xs.append(x) or 0.0, 0.0, decay_rate=5e-324)
+        assert excinfo.value.best == QuadResult(0.0, math.inf, 0)
+        assert xs == []
 
     def test_bad_decay_rate(self):
         with pytest.raises(ValueError):

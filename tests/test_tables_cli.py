@@ -180,6 +180,11 @@ class TestCli:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_head_beyond_the_double_range_exit_code(self, capsys):
+        # 60/b overflows at b = 5e-324: a typed non-convergence, not a usage error.
+        assert main(["eval", "moment", "--b", "5e-324", "--order", "1"]) == 3
+        assert "beyond the double range" in capsys.readouterr().err
+
     def test_table_default_cdf(self, capsys):
         assert main(["table", "cdf"]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
