@@ -17,9 +17,10 @@ The cdf is computed two ways on purpose:
 * direct adaptive quadrature of the density (cdf_quadrature), kept as an
   independent cross-check of the closed form.
 
-Both are exposed; moments build on the density. The cdf, survival and
-hazard read one short continued fraction of that pair; the quantile and
-median invert the incomplete beta at (1/2, b).
+Both are exposed; moments build on the density. Survival, hazard,
+interval probabilities and the order statistics read F, S and ln f from
+one short continued fraction of the pair (_pair); the cdf is one
+reg_inc_beta call, and the quantile and median invert it at (1/2, b).
 All operations are pure and instances are immutable, so values are safe to
 share across threads.
 """
@@ -61,11 +62,6 @@ def logistic_sigma(x: float) -> float:
 def _check_support(x: float, what: str) -> None:
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"{what} is supported on [0, inf), got {x!r}")
-
-
-def _near_origin(t2: float, b: float) -> bool:
-    """Numerical Recipes' switch of the (1/2, b) kernel at t^2 = 3/(2b + 5)."""
-    return t2 < 1.5 / (b + 2.5)
 
 
 def _check_shape(b: float) -> None:
@@ -132,7 +128,7 @@ class GeneralizedHalfLogistic:
     (cdf_quadrature, moment, moments). log_norm caches ln 2 - ln B(b, b), the log
     of the normalizing constant, as 2b ln 2 - ln B(1/2, b) by the
     duplication formula B(b, b) = 2^(1-2b) B(1/2, b); ln B(1/2, b), which
-    the survival and hazard read too, is cached beside it.
+    _pair and the quantile read too, is cached beside it.
     """
 
     b: float
@@ -179,14 +175,16 @@ class GeneralizedHalfLogistic:
         res = integrate_finite(self.pdf, 0.0, x, self.tol)
         return min(1.0, max(0.0, res.value))
 
-    def _survival_hazard(self, x: float) -> tuple[float, float]:
-        """(S, h) at x >= 0 from one continued fraction of the pair
-        S = I_s(b, 1/2), F = I_{t^2}(1/2, b), with f = s^b / B(1/2, b), on
-        the side of _near_origin's switch where it is short: far out
-        S = f*t*K/b and h = b/(t*K) with K at (b, 1/2, s); near the origin
-        S = 1 - 2*f*t*K' and h = f/S with K' at (1/2, b, t^2), so S(0) = 1
-        and h(0) = f(0) exactly.
-        """
+    def _pair(self, x: float, what: str) -> tuple[float, float, float, float]:
+        """(F, S, ln f, h) at x >= 0 (what names the caller in support errors)
+        from one continued fraction of the pair F = I_{t^2}(1/2, b),
+        S = I_s(b, 1/2), ln f = b ln s - ln B(1/2, b), on the side of Numerical
+        Recipes' switch t^2 = 3/(2b + 5) where it is short: near it F = 2*f*t*K'
+        with K' at (1/2, b, t^2), S = 1 - F and h = f/S, so F(0) = 0 exactly;
+        far out S = f*t*K/b with K at (b, 1/2, s), clamped to 1 for tiny b,
+        F = 1 - S and h = b/(t*K), finite where f and S underflow."""
+        if not 0.0 <= x < math.inf:
+            _check_support(x, what)
         b = self.b
         t = math.tanh(0.5 * x)
         t2 = t * t
@@ -197,36 +195,35 @@ class GeneralizedHalfLogistic:
             log_s = math.log1p(-t2)
         else:
             log_s = _LN4 - x - 2.0 * math.log1p(math.exp(-x))
-        f = math.exp(b * log_s - self._log_beta_half)
-        if _near_origin(t2, b):
-            big_s = 1.0 - 2.0 * f * t * _betacf(0.5, b, t2)
-            return big_s, f / big_s
+        log_f = b * log_s - self._log_beta_half
+        f = math.exp(log_f)
+        if t2 < 1.5 / (b + 2.5):
+            big_f = 2.0 * f * t * _betacf(0.5, b, t2)
+            return big_f, 1.0 - big_f, log_f, f / (1.0 - big_f)
         tk = t * _betacf(b, 0.5, math.exp(log_s))
-        return f * tk / b, b / tk
+        big_s = min(1.0, f * tk / b)
+        return 1.0 - big_s, big_s, log_f, b / tk
 
     def survival(self, x: float) -> float:
         """1 - F(x) = I_s(b, 1/2) with s = sech^2(x/2), exactly 1 at x = 0.
         Far out it is formed without a subtraction, so it keeps its digits
         where F rounds to 1."""
-        _check_support(x, "survival")
-        return self._survival_hazard(x)[0]
+        return self._pair(x, "survival")[1]
 
     def hazard(self, x: float) -> float:
         """f(x) / (1 - F(x)): finite for every x, f(0) = 1/B(1/2, b) at the
         origin, tending to b."""
-        _check_support(x, "hazard")
-        return self._survival_hazard(x)[1]
+        return self._pair(x, "hazard")[3]
 
     def interval_prob(self, a1: float, a2: float) -> float:
-        """P(a1 < X < a2), 0 <= a1 <= a2: F(a2) - F(a1) below the kernel's
-        switch, where F keeps its digits, else S(a1) - S(a2), as F nears 1."""
-        _check_support(a1, "interval_prob")
-        _check_support(a2, "interval_prob")
+        """P(a1 < X < a2), 0 <= a1 <= a2, from one _pair per endpoint:
+        F(a2) - F(a1) while F(a2) <= S(a1), else S(a1) - S(a2), so the
+        difference is taken between the smaller values, which keep their digits."""
+        f1, s1, _, _ = self._pair(a1, "interval_prob")
+        f2, s2, _, _ = self._pair(a2, "interval_prob")
         if a1 > a2:
             raise ValueError(f"interval endpoints out of order: {a1!r} > {a2!r}")
-        if _near_origin(math.tanh(0.5 * a2) ** 2, self.b):
-            return max(0.0, self.cdf(a2) - self.cdf(a1))
-        return max(0.0, self.survival(a1) - self.survival(a2))
+        return max(0.0, f2 - f1 if f2 <= s1 else s1 - s2)
 
     # -- moments -----------------------------------------------------------
 

@@ -6,13 +6,13 @@ The r-th of n draws has density
 
 with the maximum (r = n) and minimum (r = 1) as the usual special cases,
 and cdf I_F(x)(r, n-r+1) (David & Nagaraja, Order Statistics, 2.1).
-Everything is computed from one closed-form survival call S(x) -- never by
-nesting quadrature inside quadrature -- and in log space or through the
-incomplete beta, so sample sizes up to 10^4 neither overflow nor lose the
-tails. F is read as 1 - S, exactly 0 at x = 0. The survival S = I_s(b, 1/2),
-s = sech^2(x/2), costs a few continued-fraction terms at every shape and
-far out is formed from ln s without a subtraction, so 1 - S stays below 1
-at small b, where t^2 = tanh^2(x/2) and the cdf I_{t^2}(1/2, b) round to 1.
+Everything is computed from one pair of the kernel, F, S and ln f at x
+from a single short continued fraction -- never by nesting quadrature
+inside quadrature -- and in log space or through the incomplete beta, so
+sample sizes up to 10^4 neither overflow nor lose the tails. Near the
+origin the pair forms F without a subtraction, so F^(r-1) keeps its digits
+down to the smallest x; far out it forms S from ln s, so 1 - S stays below
+1 at small b, where the closed-form cdf rounds to 1.
 """
 
 from __future__ import annotations
@@ -45,17 +45,14 @@ class OrderIndex:
 def pdf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
     """Density of the r-th order statistic of n draws at x >= 0."""
     r, n = idx.r, idx.n
+    big_f, big_s, log_f, _ = d._pair(x, "log_pdf")
+    if (r > 1 and big_f == 0.0) or (r < n and big_s == 0.0):
+        return 0.0
     # ln(n! / ((r-1)! (n-r)!)) = -ln B(r, n-r+1)
-    log_val = log_gamma(n + 1.0) - log_gamma(float(r)) - log_gamma(n - r + 1.0) + d.log_pdf(x)
-    big_s = d.survival(x)
-    big_f = 1.0 - big_s
+    log_val = log_gamma(n + 1.0) - log_gamma(float(r)) - log_gamma(n - r + 1.0) + log_f
     if r > 1:
-        if big_f == 0.0:
-            return 0.0
         log_val += (r - 1) * math.log(big_f)
     if r < n:
-        if big_s == 0.0:
-            return 0.0
         log_val += (n - r) * math.log(big_s)
     return math.exp(log_val)
 
@@ -77,4 +74,4 @@ def cdf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
     One kernel call; the kernel's own symmetry switch picks the side.
     """
     r, n = idx.r, idx.n
-    return reg_inc_beta(r, n - r + 1, 1.0 - d.survival(x))
+    return reg_inc_beta(r, n - r + 1, d._pair(x, "survival")[0])

@@ -115,7 +115,8 @@ def _panel_nodes(lo: float, hi: float):
     """The 15 nodes of [lo, hi] in sampling order (the center, then each pair
     from the outermost inwards, left first), or None when the outer nodes
     would round onto lo or hi."""
-    center = 0.5 * (lo + hi)
+    # Halves first: lo + hi overflows for a panel past about 9e307.
+    center = 0.5 * lo + 0.5 * hi
     half = 0.5 * (hi - lo)
     d1 = half * _X1
     if not lo < center - d1 < center + d1 < hi:
@@ -234,7 +235,7 @@ def integrate_finite(
                 QuadResult(total_value, total_err, evaluations),
             )
         neg_err, _, a, b, v = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
+        mid = 0.5 * a + 0.5 * b
         left, right = _kronrod_panel(f, a, mid), _kronrod_panel(f, mid, b)
         if left is None or right is None:
             # The halves of the worst panel would be sampled at their ends;
@@ -285,7 +286,7 @@ def _moments_finite(f: Callable[[float], float], n_max: int, tol: Tolerance, lo:
         if all(e <= t for e, t in zip(errs, tols)):
             return values, errs, evaluations
         _, a, b, popped = heapq.heappop(heap)
-        spans = [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
+        spans = [(a, 0.5 * a + 0.5 * b), (0.5 * a + 0.5 * b, b)]
     raise ConvergenceError(
         f"no convergence after {tol.max_subdivisions} subdivisions on [{lo!r}, {hi!r}]",
         QuadResult(values[-1], errs[-1], evaluations))
@@ -318,7 +319,11 @@ def _semi_infinite(integrate: Callable, lo: float, tol: Tolerance, decay_rate: f
     grading = [lo + math.ldexp(width, -k) for k in range(levels, 0, -1)]
     values, errs, evaluations = integrate(lo, cut, grading)
     for k in range(_MAX_TAIL_BLOCKS):
-        block, block_errs, block_evaluations = integrate(cut + k * width, cut + (k + 1) * width, ())
+        start, end = cut + k * width, cut + (k + 1) * width
+        if end == math.inf:
+            raise ConvergenceError(f"tail block [{start!r}, {end!r}] beyond the double range",
+                                   QuadResult(values[-1], errs[-1], evaluations))
+        block, block_errs, block_evaluations = integrate(start, end, ())
         values = [v + w for v, w in zip(values, block)]
         errs = [e + d for e, d in zip(errs, block_errs)]
         evaluations += block_evaluations
@@ -346,8 +351,8 @@ def integrate_semi_infinite(
     blocks are then appended until one contributes less than abs_tol/10.
     An integrand that refuses to decay exhausts the block budget and
     raises ConvergenceError, as does a head too narrow for its nodes or a
-    cut beyond the double range (decay_rate below about 3.3e-307). The
-    moments pass shares this cut, head and tail rule.
+    cut or tail block beyond the double range (decay_rate below about
+    6.7e-307). The moments pass shares this cut, head and tail rule.
     """
     def integrate(a, b, breakpoints):
         r = integrate_finite(f, a, b, tol, breakpoints=breakpoints)

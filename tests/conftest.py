@@ -1,5 +1,12 @@
 """Shared test helpers."""
 
+import math
+
+# The both-tails mpmath sweeps: 13 log-spaced b in [1e-3, 1e3] and 24
+# log-spaced x in [1e-12, 2e3].
+SWEEP_SHAPES = [10.0 ** (-3 + i / 2) for i in range(13)]
+SWEEP_XS = [10.0 ** (-12 + (math.log10(2e3) + 12) * j / 23) for j in range(24)]
+
 
 def ks_distance(samples, cdf):
     """Kolmogorov-Smirnov sup distance between an empirical sample and a cdf.
@@ -13,3 +20,17 @@ def ks_distance(samples, cdf):
         f = cdf(x)
         d = max(d, f - i / n, (i + 1) / n - f)
     return d
+
+
+def mp_pair(b, x):
+    """(F, S) at x >= 0 at the current mpmath precision, each from its own
+    incomplete beta, F = I_{t^2}(1/2, b) and S = I_s(b, 1/2), so neither
+    is a difference; past x = 60, where t^2 = 1 - s would need more working
+    digits than a test sets, F is read as 1 - S."""
+    import mpmath as mp
+
+    t = mp.mpf(x)
+    s = mp.betainc(b, 0.5, 0, mp.sech(t / 2) ** 2, regularized=True)
+    if x >= 60:
+        return 1 - s, s
+    return mp.betainc(0.5, b, 0, mp.tanh(t / 2) ** 2, regularized=True), s

@@ -1,5 +1,6 @@
 """Order-statistic density tests: identities, normalization, cdf consistency."""
 
+import functools
 import itertools
 import math
 import random
@@ -16,6 +17,35 @@ from ghl3 import (
     pdf_rth,
 )
 from ghl3 import order_statistics, special
+
+from conftest import SWEEP_SHAPES, SWEEP_XS, mp_pair
+
+SWEEP_RANKS = [(1, 1), (1, 5), (3, 5), (5, 5), (10, 10), (25, 50), (1, 1000), (500, 1000), (1000, 1000)]
+
+
+@functools.lru_cache(maxsize=None)
+def rank_worst_errors() -> tuple[float, float]:
+    """Worst relative errors of pdf_rth and cdf_rth against 60-digit mpmath
+    over SWEEP_SHAPES x SWEEP_XS x SWEEP_RANKS, both sides of the kernel's
+    switch, with F and S from mp_pair."""
+    import mpmath as mp
+
+    worst_pdf = worst_cdf = 0.0
+    with mp.workdps(60):
+        for b in SWEEP_SHAPES:
+            d = GeneralizedHalfLogistic(b)
+            for x in SWEEP_XS:
+                f, s = mp_pair(b, x)
+                dens = mp.sech(mp.mpf(x) / 2) ** (2 * b) / mp.beta(0.5, b)
+                for r, n in SWEEP_RANKS:
+                    idx = OrderIndex(r, n)
+                    ref = dens * f ** (r - 1) * s ** (n - r) / mp.beta(r, n - r + 1)
+                    if ref >= 1e-300:
+                        worst_pdf = max(worst_pdf, abs(pdf_rth(d, idx, x) - ref) / ref)
+                    ref = mp.betainc(r, n - r + 1, 0, f, regularized=True)
+                    if ref >= 1e-300:
+                        worst_cdf = max(worst_cdf, abs(cdf_rth(d, idx, x) - ref) / ref)
+    return float(worst_pdf), float(worst_cdf)
 
 
 class TestOrderIndex:
@@ -84,6 +114,43 @@ class TestRthDensity:
         d = GeneralizedHalfLogistic(1000.0)
         assert d.survival(5.0) == 0.0
         assert pdf_rth(d, OrderIndex(1, 5), 5.0) == 0.0
+
+
+    @pytest.mark.parametrize("b", [1e-300, 1e-200])
+    def test_tiny_shapes_give_finite_values(self, b):
+        # The far side's S = f*t*K/b rounds to 1 + 2.4e-14 at b = 1e-300
+        # unless clamped, and log(1 - S) raised. F is cdf_rth at r = n = 1.
+        d = GeneralizedHalfLogistic(b)
+        for x in [0.0, 1.0, 5.0, 745.0, 1e300]:
+            assert 0.0 <= d.survival(x) <= 1.0, x
+            assert 0.0 <= cdf_rth(d, OrderIndex(1, 1), x) <= 1.0, x
+            assert 0.0 < d.hazard(x) < math.inf, x
+            for r, n in [(1, 3), (2, 3), (3, 3)]:
+                assert math.isfinite(pdf_rth(d, OrderIndex(r, n), x)), (x, r, n)
+                assert 0.0 <= cdf_rth(d, OrderIndex(r, n), x) <= 1.0, (x, r, n)
+
+    @pytest.mark.parametrize(
+        "b, x, r, n", [(0.0018, 1e-12, 10, 10), (2.0, 1e-9, 3, 5), (1000.0, 1e-12, 10, 10)]
+    )
+    def test_near_origin_relative_accuracy_against_mpmath(self, b, x, r, n):
+        # F is a few ulps here; read as 1 - S it kept a few bits, and
+        # F^(r-1) spread that error to 10% at b = 0.0018.
+        import mpmath as mp
+
+        with mp.workdps(50):
+            f = mp.betainc(0.5, b, 0, mp.tanh(mp.mpf(x) / 2) ** 2, regularized=True)
+            dens = mp.sech(mp.mpf(x) / 2) ** (2 * b) / mp.beta(0.5, b)
+            ref_pdf = dens * f ** (r - 1) * (1 - f) ** (n - r) / mp.beta(r, n - r + 1)
+            ref_cdf = mp.betainc(r, n - r + 1, 0, f, regularized=True)
+        d, idx = GeneralizedHalfLogistic(b), OrderIndex(r, n)
+        assert abs(pdf_rth(d, idx, x) - ref_pdf) <= 3e-14 * ref_pdf
+        assert abs(cdf_rth(d, idx, x) - ref_cdf) <= 3e-14 * ref_cdf
+
+    def test_both_tails_relative_accuracy_against_mpmath(self):
+        # Worst measured 7.5e-12, at b = 1e-3, x = 4.4, r = 25 of 50: there F
+        # is the small side but is read as 1 - S, and F^24 spreads its error.
+        worst_pdf, _ = rank_worst_errors()
+        assert worst_pdf <= 1e-11
 
 
 class TestExtremes:
@@ -188,6 +255,11 @@ class TestRankCdf:
             calls.clear()
             cdf_rth(d, OrderIndex(r, n), x)
             assert len(calls) <= 3, x
+
+    def test_both_tails_relative_accuracy_against_mpmath(self):
+        # Worst measured 7.8e-12, at the pdf_rth sweep's worst point.
+        _, worst_cdf = rank_worst_errors()
+        assert worst_cdf <= 1e-11
 
     def test_one_kernel_call_per_evaluation(self, monkeypatch):
         # The kernel's own symmetry switch picks the side; cdf_rth never

@@ -185,6 +185,17 @@ class TestCli:
         assert main(["eval", "moment", "--b", "5e-324", "--order", "1"]) == 3
         assert "beyond the double range" in capsys.readouterr().err
 
+    def test_tail_block_beyond_the_double_range_exit_code(self, capsys):
+        # The head [0, 1.5e308] is sampled, but its first tail block ends past
+        # the double range: a typed non-convergence, not a usage error.
+        assert main(["eval", "moment", "--b", "4e-307", "--order", "1"]) == 3
+        assert "beyond the double range" in capsys.readouterr().err
+
+    def test_eval_ordstat_at_a_tiny_shape(self, capsys):
+        # S rounds above 1 at b = 1e-300 unless clamped, and log(1 - S) raised.
+        assert main(["eval", "ordstat-pdf", "--b", "1e-300", "--x", "5", "--r", "2", "--n", "3"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
     def test_table_default_cdf(self, capsys):
         assert main(["table", "cdf"]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
