@@ -246,7 +246,7 @@ class GeneralizedHalfLogistic:
         for n_max = 4, where four calls to moment make about 880. Raises
         ValueError where f(x) * x^n_max leaves the double range."""
         n_max = _check_whole(n_max, "highest moment order", 1)
-        return tuple(_moments_semi_infinite(self.pdf, n_max, self.tol, self.b)[0])
+        return tuple(v for v, _ in _moments_semi_infinite(self.pdf, n_max, self.tol, self.b)[0])
 
     def summary_stats(self) -> SummaryStats:
         """Mean, variance, skewness, kurtosis from the first four raw moments,

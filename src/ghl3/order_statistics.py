@@ -45,7 +45,7 @@ class OrderIndex:
 def pdf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
     """Density of the r-th order statistic of n draws at x >= 0."""
     r, n = idx.r, idx.n
-    big_f, big_s, log_f, _ = d._pair(x, "log_pdf")
+    big_f, big_s, log_f, _ = d._pair(x, "pdf_rth")
     if (r > 1 and big_f == 0.0) or (r < n and big_s == 0.0):
         return 0.0
     # ln(n! / ((r-1)! (n-r)!)) = -ln B(r, n-r+1)
@@ -74,4 +74,4 @@ def cdf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
     One kernel call; the kernel's own symmetry switch picks the side.
     """
     r, n = idx.r, idx.n
-    return reg_inc_beta(r, n - r + 1, d._pair(x, "survival")[0])
+    return reg_inc_beta(r, n - r + 1, d._pair(x, "cdf_rth")[0])

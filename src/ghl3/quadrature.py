@@ -1,22 +1,24 @@
 """Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals.
 
-A 7/15-point nested pair gives the per-panel error estimate for free;
-adaptivity bisects the worst panel until the summed estimate meets the
-global tolerance. The heap may start from breakpoints (QUADPACK qagp);
-a semi-infinite head starts from panels graded towards its lower bound.
+A 7/15-point nested pair gives the per-panel error estimate for free.
+One adaptive loop bisects the worst panel until the summed estimate meets
+the global tolerance, starting from breakpoints (QUADPACK qagp); a
+semi-infinite head starts from panels graded towards its lower bound.
 Panel nodes round strictly inside (or ConvergenceError is raised), so
 integrable endpoint behavior is tolerated and lo, hi are never sampled.
-The private moments pass integrates f(x) * x**n for n = 1..n_max at once,
-one sample of f per node, as vector-valued adaptive quadrature does.
+The loop takes one of two panel rules: integrate_finite's one integral,
+or the private moments pass's f(x) * x**n for n = 1..n_max from one
+sample of f per node, as vector-valued adaptive quadrature does.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
-from operator import mul
+from heapq import heappop, heappush
+from itertools import count
+from operator import itemgetter, mul, truediv
 from typing import Callable, Sequence
 
 __all__ = [
@@ -57,6 +59,7 @@ _WG2, _WG4, _WG6 = (
 _WG_CENTER = 0.4179591836734694
 
 _EPS50 = 50.0 * math.ulp(1.0)
+_err = itemgetter(1)
 
 # Tail extension for semi-infinite integrals: blocks of this many decay
 # lengths are appended until one contributes less than abs_tol/10.
@@ -187,6 +190,49 @@ def _moments_panel(f: Callable[[float], float], n_max: int, lo: float, hi: float
     return panel
 
 
+def _adaptive(panel: Callable, edges: Sequence[float],
+              tol: Tolerance) -> tuple[list[tuple[float, float]], int]:
+    """Adaptive bisection from the panels between edges, for panel(a, b) giving
+    [(value, err_estimate), ...] over its integrals, or None when [a, b] is too
+    narrow for its nodes: the totals, in the same form, and the evaluations once
+    each integral meets max(abs_tol, rel_tol * |I|). The worst panel pops first,
+    by its largest error over the starting totals' tolerances (one integral: its
+    error), ties in insertion order; a split updates a total as v1 + v2 - v."""
+    spans, totals = [], None
+    for a, b in zip(edges, edges[1:]):
+        pairs = panel(a, b)
+        if pairs is None:
+            best = QuadResult(totals[-1][0] if totals else 0.0, math.inf, 15 * len(spans))
+            raise ConvergenceError(f"panel [{a!r}, {b!r}] too narrow for its nodes", best)
+        totals = pairs if totals is None else [(v + w, e + d) for (v, e), (w, d) in zip(totals, pairs)]
+        spans.append((a, b, pairs))
+    new, heap, scale, splits = spans, [], None, 0
+    while any([e > max(tol.abs_tol, tol.rel_tol * abs(v)) for v, e in totals]):
+        if scale is None:  # the heap fills only once the starting panels fall short
+            scale, tick = [max(tol.abs_tol, tol.rel_tol * abs(v)) for v, _ in totals], count()
+        for lo, hi, pairs in new:
+            heappush(heap, (-max(map(truediv, map(_err, pairs), scale)), next(tick), lo, hi, pairs))
+        evaluations = 15 * (len(spans) + 2 * splits)
+        if splits == tol.max_subdivisions:
+            raise ConvergenceError(
+                f"no convergence after {splits} subdivisions on [{edges[0]!r}, {edges[-1]!r}]",
+                QuadResult(*totals[-1], evaluations),
+            )
+        _, _, a, b, popped = heappop(heap)
+        mid = 0.5 * a + 0.5 * b
+        left, right = panel(a, mid), panel(mid, b)
+        if left is None or right is None:
+            # The halves of the worst panel would be sampled at their ends;
+            # no further refinement is possible, so the tolerance is unreachable.
+            raise ConvergenceError(f"worst panel [{a!r}, {b!r}] too narrow to subdivide",
+                                   QuadResult(*totals[-1], evaluations))
+        splits += 1
+        totals = [(v + (v1 + v2 - v0), e + (e1 + e2 - e0))
+                  for (v, e), (v1, e1), (v2, e2), (v0, e0) in zip(totals, left, right, popped)]
+        new = (a, mid, left), (mid, b, right)
+    return totals, 15 * (len(spans) + 2 * splits)
+
+
 def integrate_finite(
     f: Callable[[float], float],
     lo: float,
@@ -212,91 +258,19 @@ def integrate_finite(
     if lo == hi:
         return QuadResult(0.0, 0.0, 0)
 
-    # Heap keyed on -err so the worst panel pops first; the counter breaks
-    # ties deterministically.
-    heap = []
-    total_value = total_err = 0.0
-    for a, b in zip(edges, edges[1:]):
-        panel = _kronrod_panel(f, a, b)
-        if panel is None:
-            best = QuadResult(total_value, math.inf, 15 * len(heap))
-            raise ConvergenceError(f"panel [{a!r}, {b!r}] too narrow for its nodes", best)
-        value, err = panel
-        heapq.heappush(heap, (-err, len(heap), a, b, value))
-        total_value += value
-        total_err += err
-    tick = len(heap)
-    evaluations = 15 * tick
-    splits = 0
-    while total_err > max(tol.abs_tol, tol.rel_tol * abs(total_value)):
-        if splits >= tol.max_subdivisions:
-            raise ConvergenceError(
-                f"no convergence after {splits} subdivisions on [{lo!r}, {hi!r}]",
-                QuadResult(total_value, total_err, evaluations),
-            )
-        neg_err, _, a, b, v = heapq.heappop(heap)
-        mid = 0.5 * a + 0.5 * b
-        left, right = _kronrod_panel(f, a, mid), _kronrod_panel(f, mid, b)
-        if left is None or right is None:
-            # The halves of the worst panel would be sampled at their ends;
-            # no further refinement is possible, so the tolerance is unreachable.
-            raise ConvergenceError(
-                f"worst panel [{a!r}, {b!r}] too narrow to subdivide",
-                QuadResult(total_value, total_err, evaluations),
-            )
-        (v1, e1), (v2, e2) = left, right
-        evaluations += 30
-        splits += 1
-        total_value += v1 + v2 - v
-        total_err += e1 + e2 + neg_err
-        heapq.heappush(heap, (-e1, tick, a, mid, v1))
-        heapq.heappush(heap, (-e2, tick + 1, mid, b, v2))
-        tick += 2
-    return QuadResult(total_value, total_err, evaluations)
+    def kronrod(a, b):
+        pair = _kronrod_panel(f, a, b)
+        return None if pair is None else [pair]
 
-
-def _moments_finite(f: Callable[[float], float], n_max: int, tol: Tolerance, lo: float, hi: float,
-                    breakpoints: Sequence[float]) -> tuple[list[float], list[float], int]:
-    """integrate_finite of f(x) * x**n for n = 1..n_max from one heap, as
-    (values, err_estimates, evaluations). Each order stops at its own
-    tolerance max(abs_tol, rel_tol * |I_n|), and the heap pops the panel
-    whose worst order is furthest from it. A ConvergenceError carries the
-    highest order's best estimate."""
-    edges = (lo, *breakpoints, hi)
-    values, errs, heap = [0.0] * n_max, [0.0] * n_max, []
-    spans, popped, evaluations = list(zip(edges, edges[1:])), (), 0
-    for _ in range(tol.max_subdivisions + 1):
-        panels = [_moments_panel(f, n_max, a, b) for a, b in spans]
-        if None in panels:
-            a, b = spans[panels.index(None)]
-            raise ConvergenceError(f"panel [{a!r}, {b!r}] too narrow for its nodes",
-                                   QuadResult(values[-1], math.inf, evaluations))
-        evaluations += 15 * len(panels)
-        for i in range(n_max):
-            for panel in panels:
-                values[i] += panel[i][0]
-                errs[i] += panel[i][1]
-            if popped:
-                values[i] -= popped[i][0]
-                errs[i] -= popped[i][1]
-        tols = [max(tol.abs_tol, tol.rel_tol * abs(v)) for v in values]
-        # Left ends are distinct, so equal keys never compare panels.
-        for (a, b), panel in zip(spans, panels):
-            heapq.heappush(heap, (-max([e / t for (_, e), t in zip(panel, tols)]), a, b, panel))
-        if all(e <= t for e, t in zip(errs, tols)):
-            return values, errs, evaluations
-        _, a, b, popped = heapq.heappop(heap)
-        spans = [(a, 0.5 * a + 0.5 * b), (0.5 * a + 0.5 * b, b)]
-    raise ConvergenceError(
-        f"no convergence after {tol.max_subdivisions} subdivisions on [{lo!r}, {hi!r}]",
-        QuadResult(values[-1], errs[-1], evaluations))
+    [(value, err)], evaluations = _adaptive(kronrod, edges, tol)
+    return QuadResult(value, err, evaluations)
 
 
 def _semi_infinite(integrate: Callable, lo: float, tol: Tolerance, decay_rate: float,
-                   truncation: float | None) -> tuple[list[float], list[float], int]:
-    """integrate_semi_infinite's cut, head and tail blocks, for integrate(a, b,
-    breakpoints) giving (values, err_estimates, evaluations) with one value
-    per integrand; the blocks stop once every integrand's is below abs_tol/10."""
+                   truncation: float | None) -> tuple[list[tuple[float, float]], int]:
+    """integrate_semi_infinite's cut, head and tail blocks, for integrate(edges)
+    giving (totals, evaluations) from the panels between edges as _adaptive
+    does; the blocks stop once every integrand's value is below abs_tol/10."""
     if not math.isfinite(lo):
         raise ValueError("lower bound must be finite")
     if not (math.isfinite(decay_rate) and decay_rate > 0.0):
@@ -317,22 +291,21 @@ def _semi_infinite(integrate: Callable, lo: float, tol: Tolerance, decay_rate: f
     most = width / (1024.0 * math.ulp(max(abs(lo), abs(cut))))
     levels = math.ceil(math.log2(max(min(width * decay_rate, most), 1.0)))
     grading = [lo + math.ldexp(width, -k) for k in range(levels, 0, -1)]
-    values, errs, evaluations = integrate(lo, cut, grading)
+    totals, evaluations = integrate((lo, *grading, cut))
     for k in range(_MAX_TAIL_BLOCKS):
         start, end = cut + k * width, cut + (k + 1) * width
         if end == math.inf:
             raise ConvergenceError(f"tail block [{start!r}, {end!r}] beyond the double range",
-                                   QuadResult(values[-1], errs[-1], evaluations))
-        block, block_errs, block_evaluations = integrate(start, end, ())
-        values = [v + w for v, w in zip(values, block)]
-        errs = [e + d for e, d in zip(errs, block_errs)]
+                                   QuadResult(*totals[-1], evaluations))
+        block, block_evaluations = integrate((start, end))
+        totals = [(v + w, e + d) for (v, e), (w, d) in zip(totals, block)]
         evaluations += block_evaluations
-        if all(abs(w) < 0.1 * tol.abs_tol for w in block):
-            return values, errs, evaluations
+        if all(abs(w) < 0.1 * tol.abs_tol for w, _ in block):
+            return totals, evaluations
     raise ConvergenceError(
         f"tail of [{lo!r}, inf) integrand is not decaying after "
         f"{_MAX_TAIL_BLOCKS} extension blocks",
-        QuadResult(values[-1], errs[-1], evaluations),
+        QuadResult(*totals[-1], evaluations),
     )
 
 
@@ -352,17 +325,19 @@ def integrate_semi_infinite(
     An integrand that refuses to decay exhausts the block budget and
     raises ConvergenceError, as does a head too narrow for its nodes or a
     cut or tail block beyond the double range (decay_rate below about
-    6.7e-307). The moments pass shares this cut, head and tail rule.
+    6.7e-307). The moments pass shares this cut, head and tail rule and
+    the adaptive loop, with its own panel rule.
     """
-    def integrate(a, b, breakpoints):
-        r = integrate_finite(f, a, b, tol, breakpoints=breakpoints)
-        return (r.value,), (r.err_estimate,), r.evaluations
+    def integrate(edges):
+        r = integrate_finite(f, edges[0], edges[-1], tol, breakpoints=edges[1:-1])
+        return [(r.value, r.err_estimate)], r.evaluations
 
-    (value,), (err,), evaluations = _semi_infinite(integrate, lo, tol, decay_rate, truncation)
+    [(value, err)], evaluations = _semi_infinite(integrate, lo, tol, decay_rate, truncation)
     return QuadResult(value, err, evaluations)
 
 
 def _moments_semi_infinite(f: Callable[[float], float], n_max: int, tol: Tolerance,
-                           decay_rate: float) -> tuple[list[float], list[float], int]:
-    """_moments_finite over integrate_semi_infinite's head and blocks from 0."""
-    return _semi_infinite(partial(_moments_finite, f, n_max, tol), 0.0, tol, decay_rate, None)
+                           decay_rate: float) -> tuple[list[tuple[float, float]], int]:
+    """_adaptive of _moments_panel over integrate_semi_infinite's head and blocks from 0."""
+    integrate = partial(_adaptive, partial(_moments_panel, f, n_max), tol=tol)
+    return _semi_infinite(integrate, 0.0, tol, decay_rate, None)

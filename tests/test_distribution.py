@@ -550,6 +550,22 @@ class TestMoments:
             assert d.moments(4) == pytest.approx([d.moment(n) for n in range(1, 5)], rel=1e-10)
         assert GeneralizedHalfLogistic(2.0).moments(1) == pytest.approx((0.88629436111989062,))
 
+    def test_first_moment_bit_identical_on_both_routes(self):
+        # moment(1) integrates x * pdf(x) panel by panel through
+        # integrate_finite, moments(1) forms the same products in the moments
+        # pass: one adaptive loop gives both the same bits.
+        for i in range(61):
+            d = GeneralizedHalfLogistic(10.0 ** (-3 + i / 10))
+            assert d.moments(1)[0] == d.moment(1)
+
+    def test_moment_and_moments_share_one_subdivision_budget(self):
+        # Seven graded head panels and one split: 7 * 15 + 2 * 15 evaluations.
+        d = GeneralizedHalfLogistic(0.001, tol=Tolerance(max_subdivisions=1))
+        for call in (lambda: d.moment(4), lambda: d.moments(4)):
+            with pytest.raises(ConvergenceError, match="no convergence after 1 subdivisions") as excinfo:
+                call()
+            assert excinfo.value.best.evaluations == 135
+
     @pytest.mark.parametrize("n_max", [0, -1, True, 2.5, math.inf, math.nan, "4"])
     def test_moments_order_rejected(self, n_max):
         with pytest.raises(ValueError):

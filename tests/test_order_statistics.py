@@ -346,3 +346,10 @@ class TestRankCdf:
                 ref = dens * f ** (r - 1) * s ** (n - r) / mp.beta(r, n - r + 1)
         got = fn(GeneralizedHalfLogistic(b), OrderIndex(r, n), x)
         assert abs(got - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("fn", [pdf_rth, cdf_rth])
+@pytest.mark.parametrize("x", [-1e-9, math.nan])
+def test_support_errors_name_the_function_called(fn, x):
+    with pytest.raises(ValueError, match=f"^{fn.__name__} is supported"):
+        fn(GeneralizedHalfLogistic(2.0), OrderIndex(1, 2), x)

@@ -261,10 +261,19 @@ class TestKronrodPanel:
     def test_moments_bit_identical_to_the_loop_form(self, monkeypatch):
         # The moments as the loop-form panel and pdf = exp(log_pdf) give them.
         grid = [GeneralizedHalfLogistic(10.0 ** (-3 + i / 10)) for i in range(61)]
+        calls = 0
+
+        def loop_panel(f, lo, hi):
+            # Counted, so the comparison cannot pass with the patch unreached.
+            nonlocal calls
+            calls += 1
+            return loop_qk15(f, lo, hi)[:2]
+
         with monkeypatch.context() as m:
-            m.setattr(quadrature, "_kronrod_panel", lambda f, lo, hi: loop_qk15(f, lo, hi)[:2])
+            m.setattr(quadrature, "_kronrod_panel", loop_panel)
             m.setattr(GeneralizedHalfLogistic, "pdf", lambda self, x: math.exp(self.log_pdf(x)))
             reference = [d.moment(n) for d in grid for n in range(1, 5)]
+        assert calls > 0
         assert [d.moment(n) for d in grid for n in range(1, 5)] == reference
 
 
