@@ -32,7 +32,7 @@ import numbers
 from dataclasses import dataclass, field
 
 from .quadrature import Tolerance, _moments_semi_infinite, integrate_finite, integrate_semi_infinite
-from .special import _betacf, _log_beta_half, inv_reg_inc_beta, log_beta, reg_inc_beta
+from .special import _betacf, inv_reg_inc_beta, log_beta, reg_inc_beta
 
 __all__ = [
     "GeneralizedHalfLogistic",
@@ -138,7 +138,7 @@ class GeneralizedHalfLogistic:
 
     def __post_init__(self) -> None:
         _check_shape(self.b)
-        log_beta_half = _log_beta_half(self.b)
+        log_beta_half = log_beta(0.5, self.b)
         object.__setattr__(self, "_log_beta_half", log_beta_half)
         object.__setattr__(self, "log_norm", 2.0 * self.b * _LN2 - log_beta_half)
 
@@ -272,10 +272,12 @@ class GeneralizedHalfLogistic:
             raise ValueError(f"quantile requires p in [0, 1), got {p!r}")
         # F(x) = x/B(1/2, b) * (1 - b x^2/12 + ...): below x = 1e-9 the
         # correction is under 1e-16 for every b <= 1e3, while u = x^2/4
-        # would underflow once p is below about 1e-154.
-        x = p * math.exp(self._log_beta_half)
-        if x < 1e-9:
-            return x
+        # would underflow once p is below about 1e-154. B(1/2, b) overflows
+        # below b ~ 1e-308, so the test is on p and the line then in logs;
+        # p = 0 goes to the solve, which returns u = 0 for it.
+        log_b = self._log_beta_half
+        if 0.0 < p < 1e-9 * math.exp(-log_b):
+            return p * math.exp(log_b) if log_b < 709.0 else math.exp(math.log(p) + log_b)
         u = inv_reg_inc_beta(0.5, self.b, p)
         return 2.0 * math.log1p(math.sqrt(u)) - math.log1p(-u)
 

@@ -164,15 +164,16 @@ def _qk15(lo, hi, fc, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7):
 
 
 def _kronrod_panel(f: Callable[[float], float], lo: float, hi: float):
-    """One 15-point panel: (value, err_estimate) of f by _qk15, or None
-    without sampling f when the outer nodes would round onto lo or hi."""
+    """One 15-point panel: [(value, err_estimate)] of f by _qk15, the form
+    _adaptive takes, or None without sampling f when the outer nodes would
+    round onto lo or hi."""
     nodes = _panel_nodes(lo, hi)
     if nodes is None:
         return None
     # Named calls, not a comprehension or map: the cheaper call from bytecode.
     c, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = nodes
-    return _qk15(lo, hi, f(c), f(l1), f(r1), f(l2), f(r2), f(l3), f(r3), f(l4), f(r4),
-                 f(l5), f(r5), f(l6), f(r6), f(l7), f(r7))
+    return [_qk15(lo, hi, f(c), f(l1), f(r1), f(l2), f(r2), f(l3), f(r3), f(l4), f(r4),
+                  f(l5), f(r5), f(l6), f(r6), f(l7), f(r7))]
 
 
 def _moments_panel(f: Callable[[float], float], n_max: int, lo: float, hi: float):
@@ -257,12 +258,7 @@ def integrate_finite(
         raise ValueError(f"breakpoints must increase strictly inside ({lo!r}, {hi!r})")
     if lo == hi:
         return QuadResult(0.0, 0.0, 0)
-
-    def kronrod(a, b):
-        pair = _kronrod_panel(f, a, b)
-        return None if pair is None else [pair]
-
-    [(value, err)], evaluations = _adaptive(kronrod, edges, tol)
+    [(value, err)], evaluations = _adaptive(partial(_kronrod_panel, f), edges, tol)
     return QuadResult(value, err, evaluations)
 
 

@@ -48,23 +48,22 @@ def log_gamma(a: float) -> float:
 
 
 def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b)."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    """ln B(a, b) for finite positive shapes, else ValueError.
 
-
-def _log_beta_half(b: float) -> float:
-    """ln B(1/2, b) for b > 0, the normalizer of the (1/2, b) kernel.
-
-    For b >= 20, ln(pi)/2 minus the gamma-ratio series ln Gamma(b+1/2) -
-    ln Gamma(b) = ln(b)/2 - (1 - 1/(24b^2) + 1/(80b^4) - 17/(1792b^6))/(8b)
-    (Abramowitz & Stegun 6.1.47): log_beta would cancel ln Gamma terms in
-    the thousands there, leaving up to 1e-12.
+    With one shape 1/2 and the other b >= 20, in either order, ln(pi)/2 -
+    ln(b)/2 + (1 - 1/(24b^2) + 1/(80b^4) - 17/(1792b^6))/(8b), from the
+    gamma-ratio series of Abramowitz & Stegun 6.1.47: the ln Gamma form
+    would cancel terms in the thousands there, leaving up to 1e-12.
+    Otherwise ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b).
     """
-    if b < 20.0:
-        return log_beta(0.5, b)
-    w = 1.0 / (b * b)
-    series = (1.0 - w * (1.0 / 24 - w * (1.0 / 80 - w * 17.0 / 1792))) / (8.0 * b)
-    return _HALF_LN_PI - 0.5 * math.log(b) + series
+    # Not min/max: they drop a NaN, which must reach log_gamma and raise.
+    if b < a:
+        a, b = b, a
+    if a == 0.5 and 20.0 <= b < math.inf:
+        w = 1.0 / (b * b)
+        series = (1.0 - w * (1.0 / 24 - w * (1.0 / 80 - w * 17.0 / 1792))) / (8.0 * b)
+        return _HALF_LN_PI - 0.5 * math.log(b) + series
+    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
 def _check_shape_pair(a: float, b: float) -> None:
@@ -131,8 +130,7 @@ def reg_inc_beta(a: float, b: float, u: float) -> float:
     """Regularized incomplete beta function I_u(a, b).
 
     Monotone nondecreasing in u, exact at u = 0 and u = 1. Absolute
-    accuracy is ~1e-13 or better over the supported shape range. At
-    a = 1/2, the cdf's kernel, ln B comes from the _log_beta_half series.
+    accuracy is ~1e-13 or better over the supported shape range.
     """
     _check_shape_pair(a, b)
     if not (0.0 <= u <= 1.0):
@@ -141,8 +139,7 @@ def reg_inc_beta(a: float, b: float, u: float) -> float:
         return 0.0
     if u == 1.0:
         return 1.0
-    log_b = _log_beta_half(b) if a == 0.5 else log_beta(a, b)
-    return min(1.0, max(0.0, _reg_inc_beta_raw(a, b, u, log_b)))
+    return min(1.0, max(0.0, _reg_inc_beta_raw(a, b, u, log_beta(a, b))))
 
 
 def _inverse_seed(a: float, b: float, q: float, log_b: float) -> float:
@@ -232,8 +229,7 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     if q == 1.0:
         return 1.0
 
-    # As in reg_inc_beta: an error in ln B moves the quantile alike.
-    log_b = _log_beta_half(b) if a == 0.5 else log_beta(a, b)
+    log_b = log_beta(a, b)
     am1 = a - 1.0
     bm1 = b - 1.0
     lo, hi = 0.0, 1.0

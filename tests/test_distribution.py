@@ -644,7 +644,20 @@ class TestQuantilesAndMode:
             assert d.cdf(d.median()) == pytest.approx(0.5, abs=1e-12)
 
     def test_quantile_at_zero(self):
-        assert GeneralizedHalfLogistic(3.0).quantile(0.0) == 0.0
+        # B(1/2, b) ~ 1/b passes the double range below b ~ 1e-308.
+        for b in (5e-324, 1e-310, 2.0, 3.0):
+            assert GeneralizedHalfLogistic(b).quantile(0.0) == 0.0, b
+
+    def test_linear_tail_where_b_overflows(self):
+        # x = p B(1/2, b) formed in logs, against 30-digit mpmath: ln p and
+        # ln B near 700 carry about 1e-13 each, which exp keeps as relative.
+        import mpmath as mp
+
+        b, p = 1e-310, 1e-320
+        with mp.workdps(30):
+            ref = mp.mpf(p) * mp.beta(0.5, mp.mpf(b))
+        x = GeneralizedHalfLogistic(b).quantile(p)
+        assert abs(x - ref) <= 1e-12 * ref
 
     def test_round_trip(self):
         ps = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]

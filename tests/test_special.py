@@ -71,6 +71,40 @@ def test_log_beta_propagates_domain_error():
         log_beta(2.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("other", [0.5, 2.0, 30.0])
+def test_log_beta_rejects_non_finite_shapes(bad, other):
+    # In either position, and next to 1/2, where the series would take
+    # inf (ln B = -inf) and where min/max would drop a NaN.
+    with pytest.raises(ValueError):
+        log_beta(bad, other)
+    with pytest.raises(ValueError):
+        log_beta(other, bad)
+
+
+def test_log_beta_half_shape_against_mpmath():
+    # The A&S 6.1.47 series from b = 20, lnGamma below it; lnGamma alone
+    # is off by 7.7e-13 at b = 1e3.
+    import mpmath as mp
+
+    worst = 0.0
+    with mp.workdps(30):
+        for i in range(601):
+            b = 10.0 ** (-3 + i / 100)
+            ref = mp.log(mp.beta(0.5, b))
+            worst = max(worst, abs(log_beta(0.5, b) - ref), abs(log_beta(b, 0.5) - ref))
+    assert worst <= 2e-14
+
+
+def test_log_beta_symmetric_bitwise():
+    rng = random.Random(19)
+    pairs = [(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)) for _ in range(150)]
+    pairs += [(0.5, 10.0 ** rng.uniform(math.log10(20.0), 3)) for _ in range(50)]
+    pairs += [(0.5, 20.0), (0.5, math.nextafter(20.0, 0.0))]
+    for a, b in pairs:
+        assert log_beta(a, b).hex() == log_beta(b, a).hex(), (a, b)
+
+
 class TestRegIncBeta:
     def test_endpoints_exact(self):
         for a, b in [(0.5, 0.5), (1, 1), (2, 5), (300, 300)]:
@@ -252,9 +286,9 @@ class TestInverse:
             assert len(calls) <= 6, (a, b, q)
 
     def test_half_shape_relative_residual_at_large_b(self):
-        # At a = 1/2, the quantile's kernel, ln B comes from the gamma-ratio
-        # series; log_beta(1/2, b) is off by up to 1e-12 at b ~ 1e3, and the
-        # root with it.
+        # At a = 1/2, the quantile's kernel, log_beta takes ln B from the
+        # gamma-ratio series; the lnGamma form is off by up to 1e-12 at
+        # b ~ 1e3, and the root would be with it.
         import mpmath as mp
 
         with mp.workdps(40):

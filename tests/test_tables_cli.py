@@ -191,6 +191,15 @@ class TestCli:
         assert main(["eval", "moment", "--b", "4e-307", "--order", "1"]) == 3
         assert "beyond the double range" in capsys.readouterr().err
 
+    def test_moment_overflow_is_one_error_line(self, capsys):
+        # x**2 overflows inside the integrand at b = 1e-300: a domain error
+        # reported on one line, not a traceback.
+        assert main(["eval", "moment", "--b", "1e-300", "--order", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
     def test_eval_ordstat_at_a_tiny_shape(self, capsys):
         # S rounds above 1 at b = 1e-300 unless clamped, and log(1 - S) raised.
         assert main(["eval", "ordstat-pdf", "--b", "1e-300", "--x", "5", "--r", "2", "--n", "3"]) == 0
