@@ -228,15 +228,19 @@ class GeneralizedHalfLogistic:
     # -- moments -----------------------------------------------------------
 
     def moment(self, n: int) -> float:
-        """Raw moment E[X^n] for integer n >= 0, by semi-infinite quadrature."""
+        """Raw moment E[X^n] for integer n >= 0, by semi-infinite quadrature.
+        Raises ValueError where x**n leaves the double range."""
         n = _check_whole(n, "moment order", 0)
         if n == 0:
             return 1.0
         # Joins moments' pass once bench/test_bench.py no longer pins this
         # call's evaluation count and integrate_finite spans (ROADMAP item 1).
-        res = integrate_semi_infinite(
-            lambda x: x**n * self.pdf(x), 0.0, self.tol, decay_rate=self.b
-        )
+        try:
+            res = integrate_semi_infinite(
+                lambda x: x**n * self.pdf(x), 0.0, self.tol, decay_rate=self.b
+            )
+        except OverflowError as exc:
+            raise ValueError(f"x**{n} overflows the double range in E[X^{n}] at b={self.b!r}") from exc
         return res.value
 
     def moments(self, n_max: int) -> tuple[float, ...]:

@@ -61,6 +61,9 @@ _WG_CENTER = 0.4179591836734694
 _EPS50 = 50.0 * math.ulp(1.0)
 _err = itemgetter(1)
 
+# Splits each adaptive run may make: the whole of a finite integral, or the
+# head or one tail block of a semi-infinite one.
+_MAX_SUBDIVISIONS = 200
 # Tail extension for semi-infinite integrals: blocks of this many decay
 # lengths are appended until one contributes less than abs_tol/10.
 _MAX_TAIL_BLOCKS = 8
@@ -68,25 +71,24 @@ _MAX_TAIL_BLOCKS = 8
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric policy of the adaptive integrators."""
+    """Numeric policy of the adaptive integrators: error within max(abs_tol, rel_tol * |I|)."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
 
 
 @dataclass(frozen=True)
 class QuadResult:
     """Value, error estimate, and evaluation count of one integration.
 
-    evaluations is 0 only for the degenerate lo == hi shortcut, which
-    never samples the integrand.
+    evaluations is 0 only where the integrand is never sampled: the
+    degenerate lo == hi shortcut, and QuadResult(0.0, inf, 0), the best
+    estimate a ConvergenceError carries when a first panel is too narrow for
+    its nodes or a semi-infinite head is too narrow or beyond the double range.
     """
 
     value: float
@@ -207,14 +209,20 @@ def _adaptive(panel: Callable, edges: Sequence[float],
             raise ConvergenceError(f"panel [{a!r}, {b!r}] too narrow for its nodes", best)
         totals = pairs if totals is None else [(v + w, e + d) for (v, e), (w, d) in zip(totals, pairs)]
         spans.append((a, b, pairs))
+    abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
     new, heap, scale, splits = spans, [], None, 0
-    while any([e > max(tol.abs_tol, tol.rel_tol * abs(v)) for v, e in totals]):
+    while True:
+        for v, e in totals:
+            if e > abs_tol and e > rel_tol * abs(v):
+                break
+        else:
+            return totals, 15 * (len(spans) + 2 * splits)
         if scale is None:  # the heap fills only once the starting panels fall short
-            scale, tick = [max(tol.abs_tol, tol.rel_tol * abs(v)) for v, _ in totals], count()
+            scale, tick = [max(abs_tol, rel_tol * abs(v)) for v, _ in totals], count()
         for lo, hi, pairs in new:
             heappush(heap, (-max(map(truediv, map(_err, pairs), scale)), next(tick), lo, hi, pairs))
         evaluations = 15 * (len(spans) + 2 * splits)
-        if splits == tol.max_subdivisions:
+        if splits == _MAX_SUBDIVISIONS:
             raise ConvergenceError(
                 f"no convergence after {splits} subdivisions on [{edges[0]!r}, {edges[-1]!r}]",
                 QuadResult(*totals[-1], evaluations),
@@ -231,7 +239,6 @@ def _adaptive(panel: Callable, edges: Sequence[float],
         totals = [(v + (v1 + v2 - v0), e + (e1 + e2 - e0))
                   for (v, e), (v1, e1), (v2, e2), (v0, e0) in zip(totals, left, right, popped)]
         new = (a, mid, left), (mid, b, right)
-    return totals, 15 * (len(spans) + 2 * splits)
 
 
 def integrate_finite(
@@ -247,7 +254,7 @@ def integrate_finite(
     The heap starts from the panels between lo, the strictly increasing
     interior breakpoints and hi (QUADPACK qagp); the tolerance is global.
     Raises ConvergenceError, carrying the best estimate, if a panel is too
-    narrow for its nodes or max_subdivisions splits do not reach the tolerance.
+    narrow for its nodes or _MAX_SUBDIVISIONS splits do not reach the tolerance.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration bounds must be finite")
@@ -262,8 +269,8 @@ def integrate_finite(
     return QuadResult(value, err, evaluations)
 
 
-def _semi_infinite(integrate: Callable, lo: float, tol: Tolerance, decay_rate: float,
-                   truncation: float | None) -> tuple[list[tuple[float, float]], int]:
+def _semi_infinite(integrate: Callable, lo: float, tol: Tolerance,
+                   decay_rate: float) -> tuple[list[tuple[float, float]], int]:
     """integrate_semi_infinite's cut, head and tail blocks, for integrate(edges)
     giving (totals, evaluations) from the panels between edges as _adaptive
     does; the blocks stop once every integrand's value is below abs_tol/10."""
@@ -271,12 +278,7 @@ def _semi_infinite(integrate: Callable, lo: float, tol: Tolerance, decay_rate: f
         raise ValueError("lower bound must be finite")
     if not (math.isfinite(decay_rate) and decay_rate > 0.0):
         raise ValueError(f"decay_rate must be positive, got {decay_rate!r}")
-    if truncation is not None:
-        if not (math.isfinite(truncation) and truncation > lo):
-            raise ValueError("truncation must be finite and exceed lo")
-        cut = truncation
-    else:
-        cut = lo + max(50.0, 60.0 / min(1.0, decay_rate))
+    cut = lo + max(50.0, 60.0 / min(1.0, decay_rate))
     if not lo < cut < math.inf:
         problem = "too narrow for its nodes" if cut == lo else "beyond the double range"
         raise ConvergenceError(f"head [{lo!r}, {cut!r}] {problem}", QuadResult(0.0, math.inf, 0))
@@ -310,14 +312,13 @@ def integrate_semi_infinite(
     lo: float,
     tol: Tolerance = Tolerance(),
     decay_rate: float = 1.0,
-    truncation: float | None = None,
 ) -> QuadResult:
     """Integrate f over [lo, infinity) for exponentially decaying f.
 
-    The head [lo, cut], with cut = lo + max(50, 60/min(1, decay_rate)) or
-    the caller's truncation, starts from panels graded by halving towards
-    lo down to about 1/decay_rate wide, under one global tolerance. Equal
-    blocks are then appended until one contributes less than abs_tol/10.
+    The head [lo, cut], with cut = lo + max(50, 60/min(1, decay_rate)),
+    starts from panels graded by halving towards lo down to about
+    1/decay_rate wide, under one global tolerance. Equal blocks are then
+    appended until one contributes less than abs_tol/10.
     An integrand that refuses to decay exhausts the block budget and
     raises ConvergenceError, as does a head too narrow for its nodes or a
     cut or tail block beyond the double range (decay_rate below about
@@ -328,7 +329,7 @@ def integrate_semi_infinite(
         r = integrate_finite(f, edges[0], edges[-1], tol, breakpoints=edges[1:-1])
         return [(r.value, r.err_estimate)], r.evaluations
 
-    [(value, err)], evaluations = _semi_infinite(integrate, lo, tol, decay_rate, truncation)
+    [(value, err)], evaluations = _semi_infinite(integrate, lo, tol, decay_rate)
     return QuadResult(value, err, evaluations)
 
 
@@ -336,4 +337,4 @@ def _moments_semi_infinite(f: Callable[[float], float], n_max: int, tol: Toleran
                            decay_rate: float) -> tuple[list[tuple[float, float]], int]:
     """_adaptive of _moments_panel over integrate_semi_infinite's head and blocks from 0."""
     integrate = partial(_adaptive, partial(_moments_panel, f, n_max), tol=tol)
-    return _semi_infinite(integrate, 0.0, tol, decay_rate, None)
+    return _semi_infinite(integrate, 0.0, tol, decay_rate)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
-from .distribution import GeneralizedHalfLogistic
+from .distribution import GeneralizedHalfLogistic, _check_whole
 from .quadrature import Tolerance
 
 __all__ = [
@@ -53,14 +54,13 @@ class TableSpec:
             raise ValueError(f"table_id must be one of {_TABLE_IDS}, got {self.table_id!r}")
         if not self.b_values:
             raise ValueError("b_values must be nonempty")
-        if self.x_step <= 0.0:
-            raise ValueError("x_step must be positive")
-        if self.x_count < 1:
-            raise ValueError("x_count must be at least 1")
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        if not (1 <= self.precision <= 12):
-            raise ValueError("precision must lie in [1, 12]")
+        if not (math.isfinite(self.x_step) and self.x_step > 0.0):
+            raise ValueError(f"x_step must be finite and positive, got {self.x_step!r}")
+        object.__setattr__(self, "x_count", _check_whole(self.x_count, "x_count", 1))
+        object.__setattr__(self, "n_max", _check_whole(self.n_max, "n_max", 1))
+        object.__setattr__(self, "precision", _check_whole(self.precision, "precision", 1))
+        if self.precision > 12:
+            raise ValueError(f"precision must lie in [1, 12], got {self.precision!r}")
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,12 @@ def default_median_spec() -> TableSpec:
     return TableSpec("median", tuple(float(b) for b in range(1, 6)), precision=5)
 
 
-def _build_cdf(spec: TableSpec, tol: Tolerance) -> Table:
+def _build_cdf(spec: TableSpec) -> Table:
     offsets = [spec.x_step * j for j in range(_COLS_PER_ROW)]
     columns = ("b", "x", *(_axis_label(o) for o in offsets))
     rows = []
     for b in spec.b_values:
-        dist = GeneralizedHalfLogistic(b, tol)
+        dist = GeneralizedHalfLogistic(b)
         for start in range(0, spec.x_count, _COLS_PER_ROW):
             row_x = start * spec.x_step
             cells = []
@@ -128,21 +128,23 @@ def _build_moments(spec: TableSpec, tol: Tolerance) -> Table:
     return Table(columns=columns, rows=tuple(rows))
 
 
-def _build_median(spec: TableSpec, tol: Tolerance) -> Table:
+def _build_median(spec: TableSpec) -> Table:
     columns = ("b", "median")
     rows = []
     for b in spec.b_values:
-        dist = GeneralizedHalfLogistic(b, tol)
+        dist = GeneralizedHalfLogistic(b)
         rows.append((f"{b:g}", format_fixed(dist.median(), spec.precision)))
     return Table(columns=columns, rows=tuple(rows))
 
 
 def build_table(spec: TableSpec, tol: Tolerance = Tolerance()) -> Table:
+    """The table spec describes; tol reaches only the moments pass, since the
+    cdf and median tables are closed forms."""
     if spec.table_id == "cdf":
-        return _build_cdf(spec, tol)
+        return _build_cdf(spec)
     if spec.table_id == "moments":
         return _build_moments(spec, tol)
-    return _build_median(spec, tol)
+    return _build_median(spec)
 
 
 def render_csv(table: Table) -> str:

@@ -14,13 +14,17 @@ import pytest
 from ghl3 import (
     ConvergenceError,
     GeneralizedHalfLogistic,
+    OrderIndex,
     QuadResult,
     Tolerance,
+    cdf_rth,
     half_logistic_cdf,
     half_logistic_pdf,
     half_logistic_survival,
     integrate_semi_infinite,
     logistic_sigma,
+    pdf_rth,
+    quadrature,
     type3_logistic_pdf,
 )
 
@@ -558,9 +562,10 @@ class TestMoments:
             d = GeneralizedHalfLogistic(10.0 ** (-3 + i / 10))
             assert d.moments(1)[0] == d.moment(1)
 
-    def test_moment_and_moments_share_one_subdivision_budget(self):
+    def test_moment_and_moments_share_one_subdivision_budget(self, monkeypatch):
         # Seven graded head panels and one split: 7 * 15 + 2 * 15 evaluations.
-        d = GeneralizedHalfLogistic(0.001, tol=Tolerance(max_subdivisions=1))
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
+        d = GeneralizedHalfLogistic(0.001)
         for call in (lambda: d.moment(4), lambda: d.moments(4)):
             with pytest.raises(ConvergenceError, match="no convergence after 1 subdivisions") as excinfo:
                 call()
@@ -600,6 +605,12 @@ class TestMoments:
         # alone would raise a bare OverflowError.
         with pytest.raises(ValueError, match="non-finite"):
             GeneralizedHalfLogistic(1e-300).moments(4)
+        # moment(n) forms x**n, whose OverflowError (34, 'Numerical result
+        # out of range') in the far tail blocks is re-raised typed.
+        for b, n in [(1e-300, 2), (1e-300, 3), (1e-300, 4), (1e-100, 4), (1e-75, 4)]:
+            with pytest.raises(ValueError, match="overflows the double range") as excinfo:
+                GeneralizedHalfLogistic(b).moment(n)
+            assert isinstance(excinfo.value.__cause__, OverflowError)
 
     def test_mean_decreases_with_shape(self):
         means = [GeneralizedHalfLogistic(float(b)).moment(1) for b in range(1, 11)]
@@ -623,6 +634,50 @@ class TestMoments:
     def test_variance_positive(self):
         for b in range(1, 11):
             assert GeneralizedHalfLogistic(float(b)).summary_stats().variance > 0.0
+
+
+# The tiny-shape end of the domain: shapes from the smallest subnormal up to
+# 1e-4, and x through zero, subnormals, the exp underflow near 745 and the
+# top of the double range.
+TINY_SHAPES = [5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4]
+TINY_SHAPE_XS = [0.0, 5e-324, 1e-310, 1e-200, 1e-12, 1e-6, 0.5, 2.0, 5.0, 18.6, 37.0, 100.0,
+                 745.0, 746.0, 1e4, 1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("b", TINY_SHAPES)
+def test_tiny_shapes_give_a_value_in_range_or_a_typed_error(b):
+    # Every call returns finite values in its range, or raises ValueError or
+    # ConvergenceError with a message of its own, not math's bare "math
+    # domain error" or "math range error". The quantile and median are not
+    # in the sweep: they still raise "math domain error" at these shapes.
+    d = GeneralizedHalfLogistic(b)
+    idx = OrderIndex(2, 3)
+    unit, positive = (0.0, 1.0), (0.0, math.inf)
+    calls = [
+        (lambda: d.moments(2), positive),
+        (lambda: d.moment(1), positive),
+        (lambda: d.moment(2), positive),
+    ]
+    for x in TINY_SHAPE_XS:
+        calls += [
+            (functools.partial(d.pdf, x), positive),
+            (functools.partial(d.log_pdf, x), (-math.inf, math.inf)),
+            (functools.partial(d.cdf, x), unit),
+            (functools.partial(d.survival, x), unit),
+            (functools.partial(d.hazard, x), positive),
+            (functools.partial(d.interval_prob, 0.0, x), unit),
+            (functools.partial(pdf_rth, d, idx, x), positive),
+            (functools.partial(cdf_rth, d, idx, x), unit),
+            (functools.partial(d.cdf_quadrature, x), unit),
+        ]
+    for call, (lo, hi) in calls:
+        try:
+            values = call()
+        except (ValueError, ConvergenceError) as exc:
+            assert str(exc) not in ("math domain error", "math range error"), call
+            continue
+        for v in values if isinstance(values, tuple) else (values,):
+            assert math.isfinite(v) and lo <= v <= hi, (call, v)
 
 
 class TestQuantilesAndMode:
@@ -870,7 +925,7 @@ class TestImmutability:
             assert d.log_norm == pytest.approx(math.log(2.0) - log_beta(b, b), rel=1e-15)
 
     def test_custom_tolerance_carried(self):
-        tol = Tolerance(abs_tol=1e-6, rel_tol=1e-6, max_subdivisions=50)
+        tol = Tolerance(abs_tol=1e-6, rel_tol=1e-6)
         d = GeneralizedHalfLogistic(2.0, tol)
         assert d.tol.abs_tol == 1e-6
         assert d.cdf_quadrature(1.0) == pytest.approx(d.cdf(1.0), abs=1e-5)

@@ -51,10 +51,10 @@ class TestFinite:
         r = integrate_finite(lambda x: x**-0.5, 0.0, 1.0)
         assert r.value == pytest.approx(2.0, abs=1e-9)
 
-    def test_subdivision_cap_carries_best_estimate(self):
-        tight = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=3)
+    def test_subdivision_cap_carries_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
         with pytest.raises(ConvergenceError) as excinfo:
-            integrate_finite(lambda x: x**-0.5, 0.0, 1.0, tight)
+            integrate_finite(lambda x: x**-0.5, 0.0, 1.0)
         best = excinfo.value.best
         assert isinstance(best, QuadResult)
         assert math.isfinite(best.value)
@@ -141,9 +141,11 @@ class TestFinite:
         assert xs == []
         assert info.value.best.evaluations == 0
 
-    def test_bisection_stops_before_sampling_a_breakpoint(self):
+    def test_bisection_stops_before_sampling_a_breakpoint(self, monkeypatch):
         # The singularity at the breakpoint draws the bisection towards it;
-        # it stops once the halves would sample their ends.
+        # it stops once the halves would sample their ends, well before the
+        # split budget.
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1000)
         c = 1.3
         xs = []
 
@@ -151,8 +153,8 @@ class TestFinite:
             xs.append(x)
             return 1.0 / math.sqrt(abs(x - c))
 
-        with pytest.raises(ConvergenceError) as info:
-            integrate_finite(f, 1.0, 2.0, Tolerance(1e-300, 1e-300, 1000), breakpoints=(c,))
+        with pytest.raises(ConvergenceError, match="too narrow to subdivide") as info:
+            integrate_finite(f, 1.0, 2.0, Tolerance(1e-300, 1e-300), breakpoints=(c,))
         assert c not in xs
         exact = 2.0 * math.sqrt(c - 1.0) + 2.0 * math.sqrt(2.0 - c)
         assert abs(info.value.best.value - exact) <= info.value.best.err_estimate
@@ -303,10 +305,6 @@ class TestSemiInfinite:
         with pytest.raises(ConvergenceError):
             integrate_semi_infinite(f, 0.0)
 
-    def test_explicit_truncation(self):
-        r = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, truncation=80.0)
-        assert r.value == pytest.approx(1.0, abs=1e-10)
-
     @pytest.mark.parametrize("lo", [0.0, 1.0, 1e6])
     def test_tiny_decay_rate(self, lo):
         rate = 1e-300
@@ -370,8 +368,6 @@ class TestToleranceAndResultTypes:
             Tolerance(abs_tol=0.0)
         with pytest.raises(ValueError):
             Tolerance(rel_tol=-1e-3)
-        with pytest.raises(ValueError):
-            Tolerance(max_subdivisions=0)
 
     def test_quad_result_validation(self):
         with pytest.raises(ValueError):
@@ -383,4 +379,4 @@ class TestToleranceAndResultTypes:
         tol = Tolerance()
         assert tol.abs_tol == 1e-10
         assert tol.rel_tol == 1e-10
-        assert tol.max_subdivisions == 200
+        assert quadrature._MAX_SUBDIVISIONS == 200

@@ -113,6 +113,32 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             TableSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(x_count=2.5), "x_count"),
+            (dict(x_count=True), "x_count"),
+            (dict(x_count=math.inf), "x_count"),
+            (dict(n_max=2.5), "n_max"),
+            (dict(n_max=True), "n_max"),
+            (dict(precision=True), "precision"),
+            (dict(precision=4.5), "precision"),
+            (dict(x_step=math.nan), "x_step"),
+            (dict(x_step=math.inf), "x_step"),
+        ],
+    )
+    def test_non_integer_or_non_finite_grid_rejected_at_construction(self, kwargs, name):
+        # Each of these used to construct and then fail inside build_table
+        # with an unrelated message, or build a one-point grid for True.
+        with pytest.raises(ValueError, match=name):
+            TableSpec("cdf", (2.0,), **kwargs)
+
+    def test_whole_float_counts_are_stored_as_ints(self):
+        spec = TableSpec("moments", (2.0,), x_count=13.0, n_max=2.0, precision=6.0)
+        assert (spec.x_count, spec.n_max, spec.precision) == (13, 2, 6)
+        assert all(type(v) is int for v in (spec.x_count, spec.n_max, spec.precision))
+        assert build_table(spec).rows == build_table(TableSpec("moments", (2.0,), n_max=2, precision=6)).rows
+
 
 class TestRenderers:
     def test_csv_has_header_and_unix_newlines(self):
