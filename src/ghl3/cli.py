@@ -54,11 +54,11 @@ def _parse_b_list(text: str) -> tuple[float, ...]:
     return tuple(lo + k for k in range(steps + 1))
 
 
-def _add_tol_flags(p: argparse.ArgumentParser) -> None:
+def _add_tol_flags(p: argparse.ArgumentParser, note: str = "") -> None:
     p.add_argument("--tol-abs", type=float, default=Tolerance.abs_tol,
-                   help="absolute quadrature tolerance")
+                   help="absolute quadrature tolerance" + note)
     p.add_argument("--tol-rel", type=float, default=Tolerance.rel_tol,
-                   help="relative quadrature tolerance")
+                   help="relative quadrature tolerance" + note)
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--b", type=float, required=True, help="shape value")
     p_sample.add_argument("--count", type=int, required=True, help="number of samples")
     p_sample.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
-    _add_tol_flags(p_sample)
+    _add_tol_flags(p_sample, " (accepted, but sampling integrates nothing)")
     p_sample.set_defaults(func=_cmd_sample)
 
     return parser

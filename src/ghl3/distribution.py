@@ -17,10 +17,10 @@ The cdf is computed two ways on purpose:
 * direct adaptive quadrature of the density (cdf_quadrature), kept as an
   independent cross-check of the closed form.
 
-Both are exposed; moments build on the density. Survival, hazard,
-interval probabilities and the order statistics read F, S and ln f from
-one short continued fraction of the pair (_pair); the cdf is one
-reg_inc_beta call, and the quantile and median invert it at (1/2, b).
+Both are exposed; odd moments integrate the density, even ones are exact.
+Survival, hazard, interval probabilities and the order statistics read F,
+S and ln f from one short continued fraction of the pair (_pair); the cdf
+is one reg_inc_beta call, and the quantile and median invert it at (1/2, b).
 All operations are pure and instances are immutable, so values are safe to
 share across threads.
 """
@@ -47,6 +47,10 @@ __all__ = [
 _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
 _MAX_SHAPE = 1e3
+# B_2l / (2l)! for l = 1..10: the Euler-Maclaurin tail of the Hurwitz zeta (A&S 6.4.11).
+_EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000,
+                    1 / 74724249600, -3617 / 10670622842880000, 43867 / 5109094217170944000,
+                    -174611 / 802857662698291200000)
 
 
 def logistic_sigma(x: float) -> float:
@@ -72,10 +76,35 @@ def _check_shape(b: float) -> None:
 def _check_whole(value: object, what: str, least: int) -> int:
     """value as an int if it is a whole number >= least, else ValueError;
     a bool or an infinity (whose int() overflows) is not a whole number."""
+    if type(value) is int and value >= least:
+        return value
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value) or value != int(value) or value < least):
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _even_moments(b: float, n_max: int) -> list[float]:
+    """[E[X^2], E[X^4], ...] to order n_max. X = |logit V| with V ~ Beta(b, b), whose logit has no
+    odd cumulants and kappa_2j = 2 psi^(2j-1)(b), so m_2k = sum_j C(2k-1, 2j-1) kappa_2j m_2k-2j,
+    formed as 2 (2k-1)!/(2k-2j)!/b^2j (a ratio at a time) times b^2j zeta(2j, b) (direct terms to
+    b + i >= 2j + 10, then the Euler-Maclaurin tail) times m_2k-2j: no factor overflows alone."""
+    zetas, m = [], [1.0]
+    for s in range(2, n_max + 1, 2):
+        i = max(0, math.ceil(s + 10 - b))
+        z = b + i
+        tail, term = 0.5 + z / (s - 1), s / z
+        for l, c in enumerate(_EULER_MACLAURIN):
+            tail, term = tail + c * term, term * (s + 2 * l + 1) * (s + 2 * l + 2) / (z * z)
+        zetas.append(sum((b / (b + k)) ** s for k in range(i)) + (b / z) ** s * tail)
+        p, total = (2 * s - 2) / b / b, 0.0
+        for j in range(1, s // 2 + 1):
+            total += p * zetas[j - 1] * m[s // 2 - j]
+            p = p * ((s - 2 * j) * (s - 2 * j - 1)) / b / b
+        m.append(total)
+    if not math.isfinite(m[-1]):
+        raise ValueError(f"E[X^{2 * len(m) - 2}] at b={b!r} is non-finite: it leaves the double range")
+    return m[1:]
 
 
 def half_logistic_pdf(y: float) -> float:
@@ -244,17 +273,21 @@ class GeneralizedHalfLogistic:
         return res.value
 
     def moments(self, n_max: int) -> tuple[float, ...]:
-        """Raw moments (E[X], ..., E[X^n_max]) for integer n_max >= 1 from one
-        adaptive pass that samples the density once per node and stops when
-        every order meets its own tolerance: about 260 density evaluations
-        for n_max = 4, where four calls to moment make about 880. Raises
-        ValueError where f(x) * x^n_max leaves the double range."""
+        """Raw moments (E[X], ..., E[X^n_max]) for integer n_max >= 1: the odd
+        orders from one adaptive pass that samples the density once per node
+        until each meets its own tolerance (about 250 density evaluations for
+        n_max = 4, where four calls to moment make about 880), the even ones in
+        closed form. ValueError where a moment or f(x) * x^n leaves the double range."""
         n_max = _check_whole(n_max, "highest moment order", 1)
-        return tuple(v for v, _ in _moments_semi_infinite(self.pdf, n_max, self.tol, self.b)[0])
+        odd, _ = _moments_semi_infinite(self.pdf, range(1, n_max + 1, 2), self.tol, self.b)
+        moments = [0.0] * n_max
+        moments[::2] = [v for v, _ in odd]
+        moments[1::2] = _even_moments(self.b, n_max)
+        return tuple(moments)
 
     def summary_stats(self) -> SummaryStats:
-        """Mean, variance, skewness, kurtosis from the first four raw moments,
-        which one moments pass gives."""
+        """Mean, variance, skewness, kurtosis from moments(4): E[X] and E[X^3]
+        from one quadrature pass, E[X^2] and E[X^4] in closed form."""
         m1, m2, m3, m4 = self.moments(4)
         var = m2 - m1 * m1
         skew = (m3 - 3.0 * m1 * m2 + 2.0 * m1**3) / var**1.5

@@ -7,8 +7,8 @@ semi-infinite head starts from panels graded towards its lower bound.
 Panel nodes round strictly inside (or ConvergenceError is raised), so
 integrable endpoint behavior is tolerated and lo, hi are never sampled.
 The loop takes one of two panel rules: integrate_finite's one integral,
-or the private moments pass's f(x) * x**n for n = 1..n_max from one
-sample of f per node, as vector-valued adaptive quadrature does.
+or the private moments pass's f(x) * x**n at the orders n it is given
+from one sample of f per node, as vector-valued adaptive quadrature does.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ _err = itemgetter(1)
 # Splits each adaptive run may make: the whole of a finite integral, or the
 # head or one tail block of a semi-infinite one.
 _MAX_SUBDIVISIONS = 200
-# Tail extension for semi-infinite integrals: blocks of this many decay
-# lengths are appended until one contributes less than abs_tol/10.
+# Tail extension for semi-infinite integrals: at most this many blocks of the
+# head's width, appended until one adds under a tenth of each integrand's tolerance.
 _MAX_TAIL_BLOCKS = 8
 
 
@@ -178,18 +178,18 @@ def _kronrod_panel(f: Callable[[float], float], lo: float, hi: float):
                   f(l5), f(r5), f(l6), f(r6), f(l7), f(r7))]
 
 
-def _moments_panel(f: Callable[[float], float], n_max: int, lo: float, hi: float):
-    """[(value, err_estimate) of f(x) * x**n for n = 1..n_max] from one sample
-    of f per node, or None as for _kronrod_panel. Each order's column is the
-    last one times the nodes, so it overflows only where the integrand does."""
+def _moments_panel(f: Callable[[float], float], orders: Sequence[int], lo: float, hi: float):
+    """[(value, err_estimate) of f(x) * x**n for n in orders, increasing] from
+    one sample of f per node, or None as for _kronrod_panel. Each order's column
+    is the last one times the nodes, so it overflows only where the integrand does."""
     nodes = _panel_nodes(lo, hi)
     if nodes is None:
         return None
-    column = [f(x) for x in nodes]
-    panel = []
-    for _ in range(n_max):
+    column, panel = [f(x) for x in nodes], []
+    for n in range(1, orders[-1] + 1):
         column = tuple(map(mul, column, nodes))
-        panel.append(_qk15(lo, hi, *column))
+        if n in orders:
+            panel.append(_qk15(lo, hi, *column))
     return panel
 
 
@@ -273,7 +273,8 @@ def _semi_infinite(integrate: Callable, lo: float, tol: Tolerance,
                    decay_rate: float) -> tuple[list[tuple[float, float]], int]:
     """integrate_semi_infinite's cut, head and tail blocks, for integrate(edges)
     giving (totals, evaluations) from the panels between edges as _adaptive
-    does; the blocks stop once every integrand's value is below abs_tol/10."""
+    does; the blocks stop once one adds less than 0.1 * max(abs_tol,
+    rel_tol * |total|) to every integrand's total."""
     if not math.isfinite(lo):
         raise ValueError("lower bound must be finite")
     if not (math.isfinite(decay_rate) and decay_rate > 0.0):
@@ -298,7 +299,8 @@ def _semi_infinite(integrate: Callable, lo: float, tol: Tolerance,
         block, block_evaluations = integrate((start, end))
         totals = [(v + w, e + d) for (v, e), (w, d) in zip(totals, block)]
         evaluations += block_evaluations
-        if all(abs(w) < 0.1 * tol.abs_tol for w, _ in block):
+        if all(abs(w) < 0.1 * max(tol.abs_tol, tol.rel_tol * abs(v))
+               for (w, _), (v, _) in zip(block, totals)):
             return totals, evaluations
     raise ConvergenceError(
         f"tail of [{lo!r}, inf) integrand is not decaying after "
@@ -318,7 +320,7 @@ def integrate_semi_infinite(
     The head [lo, cut], with cut = lo + max(50, 60/min(1, decay_rate)),
     starts from panels graded by halving towards lo down to about
     1/decay_rate wide, under one global tolerance. Equal blocks are then
-    appended until one contributes less than abs_tol/10.
+    appended until one adds less than 0.1 * max(abs_tol, rel_tol * |total|).
     An integrand that refuses to decay exhausts the block budget and
     raises ConvergenceError, as does a head too narrow for its nodes or a
     cut or tail block beyond the double range (decay_rate below about
@@ -333,8 +335,8 @@ def integrate_semi_infinite(
     return QuadResult(value, err, evaluations)
 
 
-def _moments_semi_infinite(f: Callable[[float], float], n_max: int, tol: Tolerance,
+def _moments_semi_infinite(f: Callable[[float], float], orders: Sequence[int], tol: Tolerance,
                            decay_rate: float) -> tuple[list[tuple[float, float]], int]:
-    """_adaptive of _moments_panel over integrate_semi_infinite's head and blocks from 0."""
-    integrate = partial(_adaptive, partial(_moments_panel, f, n_max), tol=tol)
+    """_adaptive of _moments_panel at orders over integrate_semi_infinite's head and blocks from 0."""
+    integrate = partial(_adaptive, partial(_moments_panel, f, orders), tol=tol)
     return _semi_infinite(integrate, 0.0, tol, decay_rate)

@@ -518,6 +518,48 @@ class TestMoments:
         # One pass meets every order's tolerance on the shared partition.
         assert worst_joint <= 1e-12
 
+    def test_even_moments_closed_form_against_mpmath(self):
+        # moments' even orders from the logit cumulants, against the same
+        # moment-cumulant recursion on 30-digit mp.psi cumulants, at 25
+        # log-spaced b in [1e-3, 1e3]; order 200 at b = 1000, where (2j-1)!
+        # and 1000^-2j of kappa_2j leave the double range but E[X^200] is 1e-83.
+        import mpmath as mp
+
+        def reference(b, n):
+            kappa = [2 * mp.psi(2 * j - 1, b) for j in range(1, n // 2 + 1)]
+            m = [mp.mpf(1)]
+            for k in range(1, n // 2 + 1):
+                m.append(sum(mp.binomial(2 * k - 1, 2 * j - 1) * kappa[j - 1] * m[k - j]
+                             for j in range(1, k + 1)))
+            return m
+
+        worst = 0.0
+        with mp.workdps(30):
+            for i in range(25):
+                b = 10.0 ** (-3 + i / 4)
+                got, ref = GeneralizedHalfLogistic(b).moments(12), reference(b, 12)
+                worst = max(worst, *(abs(got[n - 1] - ref[n // 2]) / ref[n // 2]
+                                     for n in (2, 4, 6, 12)))
+            far = GeneralizedHalfLogistic(1000.0).moments(200)[-1]
+            ref = reference(1000.0, 200)[-1]
+        assert worst <= 1e-14
+        assert far == pytest.approx(float(ref), rel=1e-13)
+
+    def test_high_even_moment_agrees_with_quadrature(self):
+        d = GeneralizedHalfLogistic(2.0)
+        assert d.moments(20)[-1] == pytest.approx(d.moment(20), rel=1e-12)
+
+    @pytest.mark.parametrize("b", [1e-100, 1e-75, 1e-50, 1e-20])
+    def test_moments_near_the_top_of_the_double_range(self, b):
+        # E[X^n] = n!/b^n * (1 + O(b)). The tail blocks stop relative to
+        # each total, which an absolute abs_tol/10 never met past ~1e200.
+        d = GeneralizedHalfLogistic(b)
+        got = [(n, d.moment(n)) for n in (1, 2, 3)] + list(enumerate(d.moments(3), 1))
+        if b != 1e-100:  # E[X^4] = 2.4e401 there, which raises as tested below
+            got += enumerate(d.moments(4), 1)
+        for n, v in got:
+            assert v == pytest.approx(math.factorial(n) / b**n, rel=2e-14), n
+
     def test_evaluations_per_moment(self):
         # The graded head starts where bisection from one panel would
         # arrive after splitting the left edge: 280 evaluations on average
@@ -533,8 +575,9 @@ class TestMoments:
         assert total / (61 * 4) <= 240
 
     def test_density_evaluations_per_moments_pass(self, monkeypatch):
-        # One pass samples the density once per node for all four orders:
-        # about 263 evaluations, where four calls to moment make about 880.
+        # One pass samples the density once per node for the odd orders (the
+        # even ones are closed forms): about 250 evaluations, where four
+        # calls to moment make about 880.
         calls = 0
         pdf = GeneralizedHalfLogistic.pdf
 

@@ -235,11 +235,23 @@ class TestKronrodPanel:
         for _ in range(300):
             lo = rng.uniform(0.0, 20.0)
             hi = lo + 10.0 ** rng.uniform(-10.0, 1.5)
-            assert _moments_panel(d.pdf, 4, lo, hi) == [_kronrod_panel(g, lo, hi)[0] for g in orders]
+            assert (_moments_panel(d.pdf, (1, 2, 3, 4), lo, hi)
+                    == [_kronrod_panel(g, lo, hi)[0] for g in orders])
+
+    def test_moments_panel_at_some_orders_equals_those_columns(self):
+        # The orders moments passes, the odd ones, give the same sums as the
+        # columns of the full panel: the products are formed all the same.
+        rng = random.Random(21)
+        d = GeneralizedHalfLogistic(3.7)
+        for _ in range(300):
+            lo = rng.uniform(0.0, 20.0)
+            hi = lo + 10.0 ** rng.uniform(-10.0, 1.5)
+            full = _moments_panel(d.pdf, (1, 2, 3, 4), lo, hi)
+            assert _moments_panel(d.pdf, (1, 3), lo, hi) == [full[0], full[2]]
 
     def test_moments_panel_too_narrow_returns_none_without_sampling(self):
         xs = []
-        assert _moments_panel(xs.append, 4, 1.0, 1.0 + 4.5e-16) is None
+        assert _moments_panel(xs.append, (1, 2, 3, 4), 1.0, 1.0 + 4.5e-16) is None
         assert xs == []
 
     def test_node_order(self):
@@ -291,6 +303,13 @@ class TestSemiInfinite:
     def test_gamma_integral(self):
         r = integrate_semi_infinite(lambda x: x * math.exp(-2.0 * x), 0.0, decay_rate=2.0)
         assert r.value == pytest.approx(0.25, abs=1e-10)
+
+    def test_tail_stops_relative_to_the_total(self):
+        # Each 60-wide block shrinks by e^-60; below abs_tol/10 the eighth
+        # would still add 1e42, but the first already adds under
+        # rel_tol/10 of the total.
+        r = integrate_semi_infinite(lambda x: 1e250 * math.exp(-x), 0.0)
+        assert r.value == pytest.approx(1e250, rel=1e-14)
 
     def test_nonzero_lower_bound(self):
         r = integrate_semi_infinite(lambda x: math.exp(-x), 3.0)
