@@ -46,6 +46,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
+_SQRT_PI = math.sqrt(math.pi)
 _MAX_SHAPE = 1e3
 # B_2l / (2l)! for l = 1..10: the Euler-Maclaurin tail of the Hurwitz zeta (A&S 6.4.11).
 _EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000,
@@ -198,9 +199,18 @@ class GeneralizedHalfLogistic:
         """F(x) by adaptive quadrature of the density over [0, x].
 
         Independent of the incomplete-beta route; used to cross-check it.
+        Below x = 1e-9 it is the line x/B(1/2, b), as in the quantile's tail.
         Propagates ConvergenceError if the integrator gives up.
         """
         _check_support(x, "cdf_quadrature")
+        if x < 1e-9:
+            # Up to b = 1, 1/B is formed as b G(b + 1/2)/(G(b + 1) sqrt(pi)): exp(-ln B)
+            # would turn the absolute error of ln B ~ -ln b into relative error, and
+            # underflow below b ~ 1e-307.
+            b = self.b
+            if b <= 1.0:
+                return x * (b * (math.gamma(b + 0.5) / math.gamma(b + 1.0)) / _SQRT_PI)
+            return x * math.exp(-self._log_beta_half)
         res = integrate_finite(self.pdf, 0.0, x, self.tol)
         return min(1.0, max(0.0, res.value))
 
@@ -275,9 +285,11 @@ class GeneralizedHalfLogistic:
     def moments(self, n_max: int) -> tuple[float, ...]:
         """Raw moments (E[X], ..., E[X^n_max]) for integer n_max >= 1: the odd
         orders from one adaptive pass that samples the density once per node
-        until each meets its own tolerance (about 250 density evaluations for
-        n_max = 4, where four calls to moment make about 880), the even ones in
-        closed form. ValueError where a moment or f(x) * x^n leaves the double range."""
+        until each meets max(abs_tol, rel_tol * |E[X^n]|) (about 250 density
+        evaluations for n_max = 4, where four calls to moment make about 880),
+        so an odd moment far below abs_tol is only absolutely accurate; the even
+        ones in closed form. ValueError where a moment or f(x) * x^n leaves the
+        double range."""
         n_max = _check_whole(n_max, "highest moment order", 1)
         odd, _ = _moments_semi_infinite(self.pdf, range(1, n_max + 1, 2), self.tol, self.b)
         moments = [0.0] * n_max

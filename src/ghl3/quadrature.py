@@ -6,16 +6,15 @@ the global tolerance, starting from breakpoints (QUADPACK qagp); a
 semi-infinite head starts from panels graded towards its lower bound.
 Panel nodes round strictly inside (or ConvergenceError is raised), so
 integrable endpoint behavior is tolerated and lo, hi are never sampled.
-The loop takes one of two panel rules: integrate_finite's one integral,
-or the private moments pass's f(x) * x**n at the orders n it is given
-from one sample of f per node, as vector-valued adaptive quadrature does.
+One panel rule gives f(x) * x**n at each order n asked for from one sample
+of f per node, as vector-valued adaptive quadrature does: integrate_finite
+asks for order 0 alone, the private moments pass for the odd orders.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from heapq import heappop, heappush
 from itertools import count
 from operator import itemgetter, mul, truediv
@@ -116,25 +115,10 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
-def _panel_nodes(lo: float, hi: float):
-    """The 15 nodes of [lo, hi] in sampling order (the center, then each pair
-    from the outermost inwards, left first), or None when the outer nodes
-    would round onto lo or hi."""
-    # Halves first: lo + hi overflows for a panel past about 9e307.
-    center = 0.5 * lo + 0.5 * hi
-    half = 0.5 * (hi - lo)
-    d1 = half * _X1
-    if not lo < center - d1 < center + d1 < hi:
-        return None
-    d2, d3, d4, d5, d6, d7 = half * _X2, half * _X3, half * _X4, half * _X5, half * _X6, half * _X7
-    return (center, center - d1, center + d1, center - d2, center + d2, center - d3, center + d3,
-            center - d4, center + d4, center - d5, center + d5, center - d6, center + d6,
-            center - d7, center + d7)
-
-
 def _qk15(lo, hi, fc, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7):
-    """(value, err_estimate) from the integrand at _panel_nodes(lo, hi): the
-    qk15 sums in QUADPACK's order, bit-identical to its loop, and its error:
+    """(value, err_estimate) of one _panel column, the integrand at the nodes of
+    [lo, hi] in _panel's order: the qk15 sums in QUADPACK's order, bit-identical
+    to its loop, and its error:
     |K15 - G7| sharpened by resasc, floored at 50 eps times the L1 norm resabs.
     """
     half = 0.5 * (hi - lo)
@@ -165,27 +149,28 @@ def _qk15(lo, hi, fc, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7):
     return value, err
 
 
-def _kronrod_panel(f: Callable[[float], float], lo: float, hi: float):
-    """One 15-point panel: [(value, err_estimate)] of f by _qk15, the form
-    _adaptive takes, or None without sampling f when the outer nodes would
-    round onto lo or hi."""
-    nodes = _panel_nodes(lo, hi)
-    if nodes is None:
+def _panel(f: Callable[[float], float], orders: Sequence[int], lo: float, hi: float):
+    """One 15-point panel: [(value, err_estimate)] of f(x) * x**n by _qk15 for
+    each n in the increasing orders (0 is f itself), from one sample of f per
+    node, or None without sampling f when the outer nodes would round onto lo
+    or hi. Each order's column is the last one times the nodes, so it
+    overflows only where the integrand does."""
+    # Halves first: lo + hi overflows for a panel past about 9e307.
+    center = 0.5 * lo + 0.5 * hi
+    half = 0.5 * (hi - lo)
+    d1 = half * _X1
+    if not lo < center - d1 < center + d1 < hi:
         return None
+    d2, d3, d4, d5, d6, d7 = half * _X2, half * _X3, half * _X4, half * _X5, half * _X6, half * _X7
+    # The center, then each pair from the outermost inwards, left first.
+    nodes = c, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = (
+        center, center - d1, center + d1, center - d2, center + d2, center - d3, center + d3,
+        center - d4, center + d4, center - d5, center + d5, center - d6, center + d6,
+        center - d7, center + d7)
     # Named calls, not a comprehension or map: the cheaper call from bytecode.
-    c, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = nodes
-    return [_qk15(lo, hi, f(c), f(l1), f(r1), f(l2), f(r2), f(l3), f(r3), f(l4), f(r4),
-                  f(l5), f(r5), f(l6), f(r6), f(l7), f(r7))]
-
-
-def _moments_panel(f: Callable[[float], float], orders: Sequence[int], lo: float, hi: float):
-    """[(value, err_estimate) of f(x) * x**n for n in orders, increasing] from
-    one sample of f per node, or None as for _kronrod_panel. Each order's column
-    is the last one times the nodes, so it overflows only where the integrand does."""
-    nodes = _panel_nodes(lo, hi)
-    if nodes is None:
-        return None
-    column, panel = [f(x) for x in nodes], []
+    column = (f(c), f(l1), f(r1), f(l2), f(r2), f(l3), f(r3), f(l4), f(r4),
+              f(l5), f(r5), f(l6), f(r6), f(l7), f(r7))
+    panel = [_qk15(lo, hi, *column)] if orders[0] == 0 else []
     for n in range(1, orders[-1] + 1):
         column = tuple(map(mul, column, nodes))
         if n in orders:
@@ -193,17 +178,17 @@ def _moments_panel(f: Callable[[float], float], orders: Sequence[int], lo: float
     return panel
 
 
-def _adaptive(panel: Callable, edges: Sequence[float],
+def _adaptive(f: Callable[[float], float], orders: Sequence[int], edges: Sequence[float],
               tol: Tolerance) -> tuple[list[tuple[float, float]], int]:
-    """Adaptive bisection from the panels between edges, for panel(a, b) giving
-    [(value, err_estimate), ...] over its integrals, or None when [a, b] is too
-    narrow for its nodes: the totals, in the same form, and the evaluations once
-    each integral meets max(abs_tol, rel_tol * |I|). The worst panel pops first,
-    by its largest error over the starting totals' tolerances (one integral: its
-    error), ties in insertion order; a split updates a total as v1 + v2 - v."""
+    """Adaptive bisection of f(x) * x**n for each n in orders, from the _panel
+    of each span between edges: the [(value, err_estimate)] totals and the
+    evaluations once each integral meets max(abs_tol, rel_tol * |I|). The worst
+    panel pops first, by its largest error over the starting totals' tolerances
+    (one integral: its error), ties in insertion order; a split updates a total
+    as v1 + v2 - v."""
     spans, totals = [], None
     for a, b in zip(edges, edges[1:]):
-        pairs = panel(a, b)
+        pairs = _panel(f, orders, a, b)
         if pairs is None:
             best = QuadResult(totals[-1][0] if totals else 0.0, math.inf, 15 * len(spans))
             raise ConvergenceError(f"panel [{a!r}, {b!r}] too narrow for its nodes", best)
@@ -229,7 +214,7 @@ def _adaptive(panel: Callable, edges: Sequence[float],
             )
         _, _, a, b, popped = heappop(heap)
         mid = 0.5 * a + 0.5 * b
-        left, right = panel(a, mid), panel(mid, b)
+        left, right = _panel(f, orders, a, mid), _panel(f, orders, mid, b)
         if left is None or right is None:
             # The halves of the worst panel would be sampled at their ends;
             # no further refinement is possible, so the tolerance is unreachable.
@@ -265,7 +250,7 @@ def integrate_finite(
         raise ValueError(f"breakpoints must increase strictly inside ({lo!r}, {hi!r})")
     if lo == hi:
         return QuadResult(0.0, 0.0, 0)
-    [(value, err)], evaluations = _adaptive(partial(_kronrod_panel, f), edges, tol)
+    [(value, err)], evaluations = _adaptive(f, (0,), edges, tol)
     return QuadResult(value, err, evaluations)
 
 
@@ -324,8 +309,8 @@ def integrate_semi_infinite(
     An integrand that refuses to decay exhausts the block budget and
     raises ConvergenceError, as does a head too narrow for its nodes or a
     cut or tail block beyond the double range (decay_rate below about
-    6.7e-307). The moments pass shares this cut, head and tail rule and
-    the adaptive loop, with its own panel rule.
+    6.7e-307). The moments pass shares this cut, head and tail rule, the
+    adaptive loop and its panel rule.
     """
     def integrate(edges):
         r = integrate_finite(f, edges[0], edges[-1], tol, breakpoints=edges[1:-1])
@@ -337,6 +322,5 @@ def integrate_semi_infinite(
 
 def _moments_semi_infinite(f: Callable[[float], float], orders: Sequence[int], tol: Tolerance,
                            decay_rate: float) -> tuple[list[tuple[float, float]], int]:
-    """_adaptive of _moments_panel at orders over integrate_semi_infinite's head and blocks from 0."""
-    integrate = partial(_adaptive, partial(_moments_panel, f, orders), tol=tol)
-    return _semi_infinite(integrate, 0.0, tol, decay_rate)
+    """_adaptive of f(x) * x**n at orders over integrate_semi_infinite's head and blocks from 0."""
+    return _semi_infinite(lambda edges: _adaptive(f, orders, edges, tol), 0.0, tol, decay_rate)

@@ -8,6 +8,7 @@ the quadrature route as the independent in-package oracle.
 import functools
 import math
 import random
+import sys
 
 import pytest
 
@@ -323,6 +324,23 @@ class TestCdf:
             0.36003225210835061, abs=1e-10
         )
         assert GeneralizedHalfLogistic(7.0).cdf_quadrature(0.0) == 0.0
+
+    def test_quadrature_route_small_x_against_mpmath(self):
+        # Below x = 1e-9 the route is the line x/B(1/2, b). Quadrature raised
+        # "too narrow" at x = 5e-324 and was up to 8.8e-14 off at b = 1000.
+        import mpmath as mp
+
+        with mp.workdps(50):
+            for b in (1e-310, 1e-3, 0.5, 2.0, 100.0, 1000.0):
+                d = GeneralizedHalfLogistic(b)
+                for x in (5e-324, 1e-320, 1e-300, 1e-12, 9e-10):
+                    t = mp.tanh(mp.mpf(x) / 2)
+                    ref = mp.betainc(0.5, b, 0, t * t, regularized=True)
+                    got = d.cdf_quadrature(x)
+                    if ref >= sys.float_info.min:
+                        assert abs(got - ref) <= 4 * math.ulp(float(ref)), (b, x)
+                    else:
+                        assert abs(got - ref) <= 5e-324, (b, x)
 
 
 class TestSurvivalHazard:

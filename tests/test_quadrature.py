@@ -16,7 +16,7 @@ from ghl3 import (
     integrate_semi_infinite,
     quadrature,
 )
-from ghl3.quadrature import _kronrod_panel, _moments_panel
+from ghl3.quadrature import _panel
 
 TOL = Tolerance()
 
@@ -162,7 +162,7 @@ class TestFinite:
 
 def loop_qk15(f, lo, hi):
     """QUADPACK's qk15 in its loop form: (value, err, resabs, resasc), the
-    reference for the unrolled _kronrod_panel."""
+    reference for _panel's unrolled order-0 column."""
     q = quadrature
     xgk = (q._X1, q._X2, q._X3, q._X4, q._X5, q._X6, q._X7)
     wgk = (q._WK1, q._WK2, q._WK3, q._WK4, q._WK5, q._WK6, q._WK7)
@@ -208,7 +208,7 @@ class TestKronrodPanel:
     )
     def test_bit_identical_to_the_loop_form(self, f, lo, hi):
         value, err, resabs, resasc = loop_qk15(f, lo, hi)
-        assert _kronrod_panel(f, lo, hi) == [(value, err)]
+        assert _panel(f, (0,), lo, hi) == [(value, err)]
         # A sign change makes resabs differ from |resk|; a constant has resasc = 0.
         if f(lo) * f(hi) < 0.0:
             assert resabs > abs(value)
@@ -223,7 +223,7 @@ class TestKronrodPanel:
             lo = rng.uniform(0.0, 20.0)
             hi = lo + 10.0 ** rng.uniform(-10.0, 1.5)
             for f in fs:
-                assert _kronrod_panel(f, lo, hi) == [loop_qk15(f, lo, hi)[:2]]
+                assert _panel(f, (0,), lo, hi) == [loop_qk15(f, lo, hi)[:2]]
 
     def test_moments_panel_bit_identical_to_each_order_alone(self):
         # The joint panel samples the density once per node; each order's
@@ -235,8 +235,8 @@ class TestKronrodPanel:
         for _ in range(300):
             lo = rng.uniform(0.0, 20.0)
             hi = lo + 10.0 ** rng.uniform(-10.0, 1.5)
-            assert (_moments_panel(d.pdf, (1, 2, 3, 4), lo, hi)
-                    == [_kronrod_panel(g, lo, hi)[0] for g in orders])
+            assert (_panel(d.pdf, (1, 2, 3, 4), lo, hi)
+                    == [_panel(g, (0,), lo, hi)[0] for g in orders])
 
     def test_moments_panel_at_some_orders_equals_those_columns(self):
         # The orders moments passes, the odd ones, give the same sums as the
@@ -246,19 +246,30 @@ class TestKronrodPanel:
         for _ in range(300):
             lo = rng.uniform(0.0, 20.0)
             hi = lo + 10.0 ** rng.uniform(-10.0, 1.5)
-            full = _moments_panel(d.pdf, (1, 2, 3, 4), lo, hi)
-            assert _moments_panel(d.pdf, (1, 3), lo, hi) == [full[0], full[2]]
+            full = _panel(d.pdf, (1, 2, 3, 4), lo, hi)
+            assert _panel(d.pdf, (1, 3), lo, hi) == [full[0], full[2]]
+
+    def test_panel_with_order_zero_and_higher_orders(self):
+        # Order 0 is the density's own column; the higher orders follow it
+        # as they do without it.
+        rng = random.Random(22)
+        d = GeneralizedHalfLogistic(3.7)
+        for _ in range(300):
+            lo = rng.uniform(0.0, 20.0)
+            hi = lo + 10.0 ** rng.uniform(-10.0, 1.5)
+            assert (_panel(d.pdf, (0, 1, 3), lo, hi)
+                    == _panel(d.pdf, (0,), lo, hi) + _panel(d.pdf, (1, 3), lo, hi))
 
     def test_moments_panel_too_narrow_returns_none_without_sampling(self):
         xs = []
-        assert _moments_panel(xs.append, (1, 2, 3, 4), 1.0, 1.0 + 4.5e-16) is None
+        assert _panel(xs.append, (1, 2, 3, 4), 1.0, 1.0 + 4.5e-16) is None
         assert xs == []
 
     def test_node_order(self):
         # The center, then each symmetric pair from the outermost node
         # inwards, left node before right.
         unrolled, looped = [], []
-        _kronrod_panel(lambda x: unrolled.append(x) or x, 0.25, 3.5)
+        _panel(lambda x: unrolled.append(x) or x, (0,), 0.25, 3.5)
         loop_qk15(lambda x: looped.append(x) or x, 0.25, 3.5)
         assert unrolled == looped
         assert len(unrolled) == 15
@@ -269,7 +280,7 @@ class TestKronrodPanel:
 
     def test_too_narrow_returns_none_without_sampling(self):
         xs = []
-        assert _kronrod_panel(xs.append, 1.0, 1.0 + 4.5e-16) is None
+        assert _panel(xs.append, (0,), 1.0, 1.0 + 4.5e-16) is None
         assert xs == []
 
     def test_moments_bit_identical_to_the_loop_form(self, monkeypatch):
@@ -277,14 +288,16 @@ class TestKronrodPanel:
         grid = [GeneralizedHalfLogistic(10.0 ** (-3 + i / 10)) for i in range(61)]
         calls = 0
 
-        def loop_panel(f, lo, hi):
-            # Counted, so the comparison cannot pass with the patch unreached.
+        def loop_panel(f, orders, lo, hi):
+            # Counted, so the comparison cannot pass with the patch unreached;
+            # moment(n) integrates x**n * pdf(x) as one order-0 integrand.
             nonlocal calls
+            assert orders == (0,)
             calls += 1
             return [loop_qk15(f, lo, hi)[:2]]
 
         with monkeypatch.context() as m:
-            m.setattr(quadrature, "_kronrod_panel", loop_panel)
+            m.setattr(quadrature, "_panel", loop_panel)
             m.setattr(GeneralizedHalfLogistic, "pdf", lambda self, x: math.exp(self.log_pdf(x)))
             reference = [d.moment(n) for d in grid for n in range(1, 5)]
         assert calls > 0
