@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .quadrature import Tolerance, _moments_semi_infinite, integrate_finite, integrate_semi_infinite
 from .special import _betacf, inv_reg_inc_beta, log_beta, reg_inc_beta
@@ -132,14 +133,12 @@ def half_logistic_survival(y: float) -> float:
 def type3_logistic_pdf(y: float, b: float) -> float:
     """Density e^(b*y) / (B(b,b) * (1 + e^y)^(2b)) on the whole real line.
 
-    Evaluated through |y|, so exactly even; folding it onto [0, inf)
-    doubles it into the generalized half logistic density.
+    Half the generalized half logistic density at |y|, so exactly even and
+    normalized by the same ln B(1/2, b) as the class.
     """
-    _check_shape(b)
     if not math.isfinite(y):
         raise ValueError(f"type3_logistic_pdf requires finite y, got {y!r}")
-    y = abs(y)
-    return math.exp(-log_beta(b, b) - b * (y + 2.0 * math.log1p(math.exp(-y))))
+    return 0.5 * GeneralizedHalfLogistic(b).pdf(abs(y))
 
 
 @dataclass(frozen=True)
@@ -158,19 +157,28 @@ class GeneralizedHalfLogistic:
     (cdf_quadrature, moment, moments). log_norm caches ln 2 - ln B(b, b), the log
     of the normalizing constant, as 2b ln 2 - ln B(1/2, b) by the
     duplication formula B(b, b) = 2^(1-2b) B(1/2, b); ln B(1/2, b), which
-    _pair and the quantile read too, is cached beside it.
+    _pair reads too, is cached beside it, and so is f(0) = 1/B(1/2, b), the
+    slope of the line F = x f(0) that cdf_quadrature and the quantile share
+    near the origin.
     """
 
     b: float
     tol: Tolerance = Tolerance()
     log_norm: float = field(init=False, repr=False, compare=False)
     _log_beta_half: float = field(init=False, repr=False, compare=False)
+    _f0: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_shape(self.b)
-        log_beta_half = log_beta(0.5, self.b)
+        b = self.b
+        log_beta_half = log_beta(0.5, b)
         object.__setattr__(self, "_log_beta_half", log_beta_half)
-        object.__setattr__(self, "log_norm", 2.0 * self.b * _LN2 - log_beta_half)
+        object.__setattr__(self, "log_norm", 2.0 * b * _LN2 - log_beta_half)
+        # Up to b = 1, 1/B is b G(b + 1/2)/(G(b + 1) sqrt(pi)): exp(-ln B) would turn
+        # ln B's absolute error into relative error, and underflow below b ~ 1e-307.
+        f0 = (b * (math.gamma(b + 0.5) / math.gamma(b + 1.0)) / _SQRT_PI if b <= 1.0
+              else math.exp(-log_beta_half))
+        object.__setattr__(self, "_f0", f0)
 
     # -- density ---------------------------------------------------------
 
@@ -199,18 +207,12 @@ class GeneralizedHalfLogistic:
         """F(x) by adaptive quadrature of the density over [0, x].
 
         Independent of the incomplete-beta route; used to cross-check it.
-        Below x = 1e-9 it is the line x/B(1/2, b), as in the quantile's tail.
-        Propagates ConvergenceError if the integrator gives up.
+        Below x = 1e-9 it is the line x f(0) = x/B(1/2, b), which the
+        quantile inverts. Propagates ConvergenceError if the integrator gives up.
         """
         _check_support(x, "cdf_quadrature")
         if x < 1e-9:
-            # Up to b = 1, 1/B is formed as b G(b + 1/2)/(G(b + 1) sqrt(pi)): exp(-ln B)
-            # would turn the absolute error of ln B ~ -ln b into relative error, and
-            # underflow below b ~ 1e-307.
-            b = self.b
-            if b <= 1.0:
-                return x * (b * (math.gamma(b + 0.5) / math.gamma(b + 1.0)) / _SQRT_PI)
-            return x * math.exp(-self._log_beta_half)
+            return x * self._f0
         res = integrate_finite(self.pdf, 0.0, x, self.tol)
         return min(1.0, max(0.0, res.value))
 
@@ -267,20 +269,19 @@ class GeneralizedHalfLogistic:
     # -- moments -----------------------------------------------------------
 
     def moment(self, n: int) -> float:
-        """Raw moment E[X^n] for integer n >= 0, by semi-infinite quadrature.
-        Raises ValueError where x**n leaves the double range."""
+        """Raw moment E[X^n] for integer n >= 0, by semi-infinite quadrature
+        of f(x) * x * ... * x, the moments pass's products, so it equals the
+        pass at order n bit for bit; as there, an order far below abs_tol is
+        only absolutely accurate. ValueError where f(x) * x^n leaves the
+        double range."""
         n = _check_whole(n, "moment order", 0)
         if n == 0:
             return 1.0
         # Joins moments' pass once bench/test_bench.py no longer pins this
         # call's evaluation count and integrate_finite spans (ROADMAP item 1).
-        try:
-            res = integrate_semi_infinite(
-                lambda x: x**n * self.pdf(x), 0.0, self.tol, decay_rate=self.b
-            )
-        except OverflowError as exc:
-            raise ValueError(f"x**{n} overflows the double range in E[X^{n}] at b={self.b!r}") from exc
-        return res.value
+        return integrate_semi_infinite(
+            lambda x: math.prod(repeat(x, n), start=self.pdf(x)), 0.0, self.tol, decay_rate=self.b
+        ).value
 
     def moments(self, n_max: int) -> tuple[float, ...]:
         """Raw moments (E[X], ..., E[X^n_max]) for integer n_max >= 1: the odd
@@ -314,19 +315,16 @@ class GeneralizedHalfLogistic:
         tanh^2(X/2) ~ Beta(1/2, b), so with u = I^{-1}_p(1/2, b) the quantile
         is 2*atanh(sqrt(u)) = 2*log1p(sqrt(u)) - log1p(-u); the second form
         reads 1 - u exactly near u = 1, where sqrt(u) rounds. Below x = 1e-9
-        it is the line x = p*B(1/2, b). Unbounded as p -> 1, hence the open
-        top end.
+        it is x = p/f(0), the inverse of cdf_quadrature's line. Unbounded as
+        p -> 1, hence the open top end.
         """
         if not (0.0 <= p < 1.0):
             raise ValueError(f"quantile requires p in [0, 1), got {p!r}")
-        # F(x) = x/B(1/2, b) * (1 - b x^2/12 + ...): below x = 1e-9 the
-        # correction is under 1e-16 for every b <= 1e3, while u = x^2/4
-        # would underflow once p is below about 1e-154. B(1/2, b) overflows
-        # below b ~ 1e-308, so the test is on p and the line then in logs;
-        # p = 0 goes to the solve, which returns u = 0 for it.
-        log_b = self._log_beta_half
-        if 0.0 < p < 1e-9 * math.exp(-log_b):
-            return p * math.exp(log_b) if log_b < 709.0 else math.exp(math.log(p) + log_b)
+        # F(x) = x f(0) (1 - b x^2/12 + ...): below x = 1e-9 the correction is
+        # under 1e-16 for every b <= 1e3, while u = x^2/4 would underflow once
+        # p is below about 1e-154. p = 0 goes to the solve, which returns u = 0.
+        if 0.0 < p < 1e-9 * self._f0:
+            return p / self._f0
         u = inv_reg_inc_beta(0.5, self.b, p)
         return 2.0 * math.log1p(math.sqrt(u)) - math.log1p(-u)
 

@@ -97,6 +97,21 @@ class TestSymmetricParent:
             for y in [0.0, 1e-12, 1.3, 37.0, 700.0, 1e308]:
                 assert type3_logistic_pdf(-y, b) == type3_logistic_pdf(y, b)
 
+    def test_large_shapes_against_mpmath(self):
+        # Normalized by the class's ln B(1/2, b): a ln B(b, b) from lgamma
+        # terms that cancel in the thousands was 1.7e-12 off at b = 1000.
+        import mpmath as mp
+
+        with mp.workdps(40):
+            for b in (100.0, 1000.0):
+                for j in range(101):
+                    y = j / 10
+                    t = mp.mpf(y)
+                    ref = mp.exp(b * t) / (mp.beta(b, b) * (1 + mp.exp(t)) ** (2 * b))
+                    if ref < 1e-300:
+                        continue  # underflows in binary64
+                    assert abs(type3_logistic_pdf(y, b) - ref) <= 5e-13 * ref, (b, y)
+
     def test_whole_line_integrates_to_one(self):
         half = integrate_semi_infinite(lambda y: type3_logistic_pdf(y, 2.0), 0.0, decay_rate=2.0)
         assert 2.0 * half.value == pytest.approx(1.0, abs=1e-9)
@@ -623,6 +638,15 @@ class TestMoments:
             d = GeneralizedHalfLogistic(10.0 ** (-3 + i / 10))
             assert d.moments(1)[0] == d.moment(1)
 
+    def test_moment_bit_identical_to_the_pass_at_one_order(self):
+        # moment(n) integrates f(x) * x * ... * x, the pass's column at order
+        # n, through the same loop, so both routes give the same bits.
+        for i in range(61):
+            d = GeneralizedHalfLogistic(10.0 ** (-3 + i / 10))
+            for n in range(1, 9):
+                [(value, _)], _ = quadrature._moments_semi_infinite(d.pdf, (n,), d.tol, d.b)
+                assert d.moment(n) == value, (d.b, n)
+
     def test_moment_and_moments_share_one_subdivision_budget(self, monkeypatch):
         # Seven graded head panels and one split: 7 * 15 + 2 * 15 evaluations.
         monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
@@ -666,12 +690,15 @@ class TestMoments:
         # alone would raise a bare OverflowError.
         with pytest.raises(ValueError, match="non-finite"):
             GeneralizedHalfLogistic(1e-300).moments(4)
-        # moment(n) forms x**n, whose OverflowError (34, 'Numerical result
-        # out of range') in the far tail blocks is re-raised typed.
-        for b, n in [(1e-300, 2), (1e-300, 3), (1e-300, 4), (1e-100, 4), (1e-75, 4)]:
-            with pytest.raises(ValueError, match="overflows the double range") as excinfo:
+        # moment(n) forms the same products f(x) * x * ... * x, so the panel
+        # rejects them with the same typed error.
+        for b, n in [(1e-300, 2), (1e-300, 3), (1e-300, 4), (1e-100, 4)]:
+            with pytest.raises(ValueError, match="non-finite"):
                 GeneralizedHalfLogistic(b).moment(n)
-            assert isinstance(excinfo.value.__cause__, OverflowError)
+        # x**4 alone overflows in the far tail at b = 1e-75, but f(x) * x^4
+        # does not, and E[X^4] ~ 2.4e301 is a finite double.
+        d = GeneralizedHalfLogistic(1e-75)
+        assert abs(d.moment(4) - d.moments(4)[3]) <= 1e-14 * d.moments(4)[3]
 
     def test_mean_decreases_with_shape(self):
         means = [GeneralizedHalfLogistic(float(b)).moment(1) for b in range(1, 11)]
@@ -765,8 +792,8 @@ class TestQuantilesAndMode:
             assert GeneralizedHalfLogistic(b).quantile(0.0) == 0.0, b
 
     def test_linear_tail_where_b_overflows(self):
-        # x = p B(1/2, b) formed in logs, against 30-digit mpmath: ln p and
-        # ln B near 700 carry about 1e-13 each, which exp keeps as relative.
+        # x = p/f(0) where B(1/2, b) = 1/f(0) overflows, against 30-digit
+        # mpmath: f(0) ~ 1e-310 is subnormal, with about 44 of its 53 bits.
         import mpmath as mp
 
         b, p = 1e-310, 1e-320
@@ -859,13 +886,22 @@ class TestQuantilesAndMode:
                 )
                 assert abs(x - ref) <= 2e-2 * ref, b
 
+    def test_linear_tail_round_trips_through_cdf_quadrature(self):
+        # Below x = 1e-9 the quantile inverts cdf_quadrature's line x f(0),
+        # so the round trip only rounds twice.
+        for i in range(61):
+            d = GeneralizedHalfLogistic(10.0 ** (-3 + i / 10))
+            for scale in (0.999, 0.5, 1e-7, 1e-150):
+                p = 1e-9 * d._f0 * scale
+                assert abs(d.cdf_quadrature(d.quantile(p)) - p) <= 2 * math.ulp(p), (d.b, p)
+
     def test_monotone_across_the_linear_tail(self):
-        # The line x = p B(1/2, b) hands over to the solve at x = 1e-9;
+        # The line x = p/f(0) hands over to the solve at x = 1e-9;
         # sample_order_stat relies on a nondecreasing quantile.
         for i in range(25):
             b = 10.0 ** (-3 + i / 4)
             d = GeneralizedHalfLogistic(b)
-            p_edge = 1e-9 / math.exp(d._log_beta_half)
+            p_edge = 1e-9 * d._f0
             for step in (1e-13, 1e-11, 1e-9):
                 xs = [d.quantile(p_edge * (1.0 + k * step)) for k in range(-50, 51)]
                 assert all(x1 <= x2 for x1, x2 in zip(xs, xs[1:])), (b, step)

@@ -218,8 +218,8 @@ class TestCli:
         assert "beyond the double range" in capsys.readouterr().err
 
     def test_moment_overflow_is_one_error_line(self, capsys):
-        # x**2 overflows inside the integrand at b = 1e-300: a domain error
-        # reported on one line, not a traceback.
+        # f(x) * x^2 overflows inside the integrand at b = 1e-300: a domain
+        # error reported on one line, not a traceback.
         assert main(["eval", "moment", "--b", "1e-300", "--order", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -333,6 +333,12 @@ class TestCli:
     def test_sample_count_required(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["sample", "--b", "2"])
+        assert excinfo.value.code == 2
+
+    def test_sample_takes_no_tolerance_flags(self):
+        # Sampling integrates nothing, so sample has no quadrature tolerance.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sample", "--b", "2", "--count", "1", "--tol-abs", "1e-3"])
         assert excinfo.value.code == 2
 
 
