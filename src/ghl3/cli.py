@@ -9,6 +9,7 @@ function value, `sample` emits seeded, reproducible variates. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -56,15 +57,16 @@ def _parse_b_list(text: str) -> tuple[float, ...]:
 
 def _add_tol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-abs", type=float, default=Tolerance.abs_tol,
-                   help="absolute quadrature tolerance")
+                   help="absolute quadrature tolerance (read only by table moments and eval moment)")
     p.add_argument("--tol-rel", type=float, default=Tolerance.rel_tol,
-                   help="relative quadrature tolerance")
+                   help="relative quadrature tolerance (read only by table moments and eval moment)")
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
     return Tolerance(abs_tol=args.tol_abs, rel_tol=args.tol_rel)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghl3",

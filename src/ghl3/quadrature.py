@@ -87,7 +87,8 @@ class QuadResult:
     evaluations is 0 only where the integrand is never sampled: the
     degenerate lo == hi shortcut, and QuadResult(0.0, inf, 0), the best
     estimate a ConvergenceError carries when a first panel is too narrow for
-    its nodes or a semi-infinite head is too narrow or beyond the double range.
+    its nodes, a semi-infinite head is too narrow or beyond the double range,
+    or the incomplete beta continued fraction breaks down on a zero denominator.
     """
 
     value: float
@@ -103,7 +104,7 @@ class QuadResult:
 
 class ConvergenceError(RuntimeError):
     """Raised when the subdivision budget is exhausted, a tail will not decay,
-    or the incomplete beta continued fraction runs out of terms.
+    or the incomplete beta continued fraction breaks down or runs out of terms.
 
     Carries the best available estimate so callers can inspect how far
     the computation got (for the continued fraction, evaluations counts

@@ -1,12 +1,13 @@
 """Log-gamma, log-beta, and the regularized incomplete beta function.
 
 Everything here is scalar, pure, and written against binary64. The
-incomplete beta function is evaluated by a modified-Lentz continued
-fraction with Numerical Recipes' symmetry switch at u > (a+1)/(a+b+2);
-its inverse is a guarded Halley/Newton iteration inside a bisection
-bracket that stops once a trusted Halley step is cubically small, after
-one evaluation at (1/2, b >= 2) from Hill's Student-t quantile seed.
-Arguments up to ~1e3 are handled in log space so B(b,b) never underflows.
+incomplete beta function is evaluated by a Lentz continued fraction with
+Numerical Recipes' symmetry switch at u > (a+1)/(a+b+2); a denominator
+that rounds to 0 raises ConvergenceError. Its inverse is a guarded
+Halley/Newton iteration inside a bisection bracket that stops once a
+trusted Halley step is cubically small, after one evaluation at
+(1/2, b >= 2) from Hill's Student-t quantile seed. Arguments up to ~1e3
+are handled in log space so B(b,b) never underflows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = ["log_gamma", "log_beta", "reg_inc_beta", "inv_reg_inc_beta"]
 # Above 2^-53, the gap below 1.0, so a delta settled one ulp from 1 stops.
 _CF_EPS = 2.3e-16
 _CF_MAX_ITER = 500
-_CF_TINY = 1e-300
 
 _F_TOL = 5e-14
 # A trusted Halley step below this share of min(u, 1 - u) leaves an error of
@@ -72,44 +72,40 @@ def _check_shape_pair(a: float, b: float) -> None:
 
 
 def _betacf(a: float, b: float, u: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz).
+    """Continued fraction for the incomplete beta function (Lentz).
 
-    Converges rapidly for u < (a+1)/(a+b+2); callers arrange that via the
-    symmetry switch. Raises ConvergenceError, carrying the partial value,
-    when _CF_MAX_ITER terms do not suffice.
+    On the convergent side u <= (a+1)/(a+b+2), where the symmetry switch
+    puts every call, the first denominator is at least 2/(a+b+2) and every
+    later one measured at least 1.5/(a+b+2). One rounds to 0 only past
+    a + b ~ 1e16, where a + 1 rounds to a: ConvergenceError carrying
+    QuadResult(0.0, inf, 0). So does running out of _CF_MAX_ITER terms,
+    carrying the partial value.
     """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * u / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * u / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * u / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
+    try:
+        d = 1.0 / (1.0 - qab * u / qap)
+        h = d
+        for m in range(1, _CF_MAX_ITER + 1):
+            m2 = 2 * m
+            aa = m * (b - m) * u / ((qam + m2) * (a + m2))
+            d = 1.0 / (1.0 + aa * d)
+            c = 1.0 + aa / c
+            h *= d * c
+            aa = -(a + m) * (qab + m) * u / ((a + m2) * (qap + m2))
+            d = 1.0 / (1.0 + aa * d)
+            c = 1.0 + aa / c
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) < _CF_EPS:
+                return h
+    except ZeroDivisionError:
+        raise ConvergenceError(
+            f"incomplete beta continued fraction broke down for a={a}, b={b}, u={u}",
+            QuadResult(0.0, math.inf, 0),
+        ) from None
     raise ConvergenceError(
         f"incomplete beta continued fraction failed to converge for a={a}, b={b}, u={u}",
         QuadResult(h, abs(h * (delta - 1.0)), _CF_MAX_ITER),

@@ -116,6 +116,11 @@ class TestSymmetricParent:
         half = integrate_semi_infinite(lambda y: type3_logistic_pdf(y, 2.0), 0.0, decay_rate=2.0)
         assert 2.0 * half.value == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_rejected(self, y):
+        with pytest.raises(ValueError, match="requires finite y"):
+            type3_logistic_pdf(y, 2.0)
+
 
 class TestLogisticSigma:
     def test_values(self):

@@ -394,6 +394,20 @@ class TestSemiInfinite:
             integrate_semi_infinite(math.exp, 0.0, decay_rate=-1.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: integrate_finite(math.sin, 0.0, math.inf), "bounds must be finite"),
+        (lambda: integrate_finite(math.sin, math.nan, 1.0), "bounds must be finite"),
+        (lambda: integrate_semi_infinite(math.exp, -math.inf), "lower bound must be finite"),
+        (lambda: integrate_semi_infinite(math.exp, math.nan), "lower bound must be finite"),
+    ],
+)
+def test_non_finite_bounds_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestToleranceAndResultTypes:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):

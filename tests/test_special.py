@@ -12,7 +12,7 @@ import sys
 import pytest
 from scipy import special as sp
 
-from ghl3 import ConvergenceError, inv_reg_inc_beta, log_beta, log_gamma, reg_inc_beta
+from ghl3 import ConvergenceError, QuadResult, inv_reg_inc_beta, log_beta, log_gamma, reg_inc_beta
 from ghl3 import special
 
 
@@ -105,6 +105,16 @@ def test_log_beta_symmetric_bitwise():
         assert log_beta(a, b).hex() == log_beta(b, a).hex(), (a, b)
 
 
+@pytest.mark.parametrize("fn", [reg_inc_beta, inv_reg_inc_beta])
+@pytest.mark.parametrize("a, b", [(0.0, 2.0), (2.0, -1.0), (math.nan, 2.0), (2.0, math.inf)])
+def test_shape_pair_validation(fn, a, b):
+    with pytest.raises(ValueError, match="shape parameters must be finite and positive"):
+        fn(a, b, 0.5)
+
+
+_CF_SHAPES = [5e-324, 1e-300, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e4]
+
+
 class TestRegIncBeta:
     def test_endpoints_exact(self):
         for a, b in [(0.5, 0.5), (1, 1), (2, 5), (300, 300)]:
@@ -172,6 +182,31 @@ class TestRegIncBeta:
         with pytest.raises(ConvergenceError) as excinfo:
             reg_inc_beta(1e12, 1e12, 0.4999999)
         assert math.isfinite(excinfo.value.best.value)
+
+    @pytest.mark.parametrize(
+        "a, b, u",
+        [
+            (1e16, 1e16, 0.5),
+            # A Lentz floor made this 1.0; 40-digit mpmath gives 0.99379544809781.
+            (0.028813318130261785, 4.3719706092143544e16, 2.353202731880076e-17),
+        ],
+    )
+    def test_vanishing_denominator_is_convergence_error(self, a, b, u):
+        # Past a + b ~ 1e16, a + 1 rounds to a and a denominator rounds to
+        # 0: a ConvergenceError, never a ZeroDivisionError or a wrong value.
+        with pytest.raises(ConvergenceError, match="broke down") as excinfo:
+            reg_inc_beta(a, b, u)
+        assert excinfo.value.best == QuadResult(0.0, math.inf, 0)
+
+    @pytest.mark.parametrize("a", _CF_SHAPES)
+    @pytest.mark.parametrize("b", _CF_SHAPES)
+    def test_continued_fraction_at_its_switch(self, a, b):
+        # The largest u the callers pass, and one ulp below it: with no
+        # floor, every denominator stays away from 0 on the convergent side.
+        u = (a + 1.0) / (a + b + 2.0)
+        for v in (u, math.nextafter(u, 0.0)):
+            value = special._betacf(a, b, v)
+            assert math.isfinite(value) and value > 0.0, (a, b, v)
 
 
 class TestInverse:

@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 from ghl3 import GeneralizedHalfLogistic
-from ghl3.cli import _parse_b_list, main
+from ghl3.cli import _build_parser, _parse_b_list, main
 from ghl3.tables import (
     Table,
     TableSpec,
@@ -297,6 +297,24 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["table", "moments", "--b-list", "3"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("text, message", [("a..3", "numeric bounds"), ("3..1", "empty range")])
+    def test_malformed_b_list_is_usage_error(self, text, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table", "moments", "--b-list", text])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize("command", ["table", "eval"])
+    def test_tolerance_help_names_its_readers(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert help_text.count("(read only by table moments and eval moment)") == 2
 
     def test_b_list_values_do_not_accumulate_rounding(self):
         values = _parse_b_list("0.33..999.33")
