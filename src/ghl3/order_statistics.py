@@ -74,4 +74,4 @@ def cdf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
     One kernel call; the kernel's own symmetry switch picks the side.
     """
     r, n = idx.r, idx.n
-    return reg_inc_beta(r, n - r + 1, d._pair(x, "cdf_rth")[0])
+    return reg_inc_beta(float(r), n - r + 1.0, d._pair(x, "cdf_rth")[0])

@@ -6,6 +6,7 @@ can be resumed, split by seed, and give bit-identical sequences on every
 platform. Uniforms are built from the top 52 bits as (k + 0.5) * 2^-52,
 which keeps every draw strictly inside (0, 1) using exact float
 arithmetic. Variates are then exactly quantile(u) -- no rejection step.
+A batch's uniforms come from one call; draw i still depends only on (seed, i).
 
 A stream is single-owner mutable state; concurrent sampling needs
 independent streams with distinct seeds.
@@ -35,7 +36,8 @@ def _mix64(z: int) -> int:
 
 @dataclass
 class RngStream:
-    """Position `counter` in the uniform stream identified by `seed`."""
+    """Position `counter` in the uniform stream identified by `seed`. A batch
+    of n uniforms is i = counter+1 .. counter+n from one call; counter moves by n."""
 
     seed: int
     counter: int = 0
@@ -48,9 +50,14 @@ class RngStream:
 
     def next_uniform(self) -> float:
         """Next uniform in (0, 1) exclusive; advances the counter by one."""
-        k = _mix64((self.seed + (self.counter + 1) * _GOLDEN) & _MASK64)
-        self.counter += 1
-        return ((k >> 12) + 0.5) * _2_POW_NEG52
+        return self._uniforms(1)[0]
+
+    def _uniforms(self, n: int) -> list[float]:
+        # The next n uniforms; advances the counter by n.
+        seed, start = self.seed, self.counter + 1
+        self.counter += n
+        return [((_mix64((seed + i * _GOLDEN) & _MASK64) >> 12) + 0.5) * _2_POW_NEG52
+                for i in range(start, start + n)]
 
 
 def sample(d: GeneralizedHalfLogistic, stream: RngStream, count: int) -> list[float]:
@@ -59,7 +66,7 @@ def sample(d: GeneralizedHalfLogistic, stream: RngStream, count: int) -> list[fl
     Fully reproducible from the stream's (seed, counter); advances the
     counter by count.
     """
-    return [d.quantile(stream.next_uniform()) for _ in range(_check_whole(count, "count", 1))]
+    return [d.quantile(u) for u in stream._uniforms(_check_whole(count, "count", 1))]
 
 
 def sample_order_stat(
@@ -68,8 +75,6 @@ def sample_order_stat(
     """Simulate the r-th order statistic: each output is the r-th smallest
     of n fresh draws. Consumes n uniforms per batch and, as quantile is
     nondecreasing, inverts only the r-th smallest of them."""
-    out = []
-    for _ in range(_check_whole(batches, "batches", 1)):
-        us = sorted(stream.next_uniform() for _ in range(idx.n))
-        out.append(d.quantile(us[idx.r - 1]))
-    return out
+    n, k = idx.n, idx.r - 1
+    return [d.quantile(sorted(stream._uniforms(n))[k])
+            for _ in range(_check_whole(batches, "batches", 1))]

@@ -79,22 +79,26 @@ def _betacf(a: float, b: float, u: float) -> float:
     later one measured at least 1.5/(a+b+2). One rounds to 0 only past
     a + b ~ 1e16, where a + 1 rounds to a: ConvergenceError carrying
     QuadResult(0.0, inf, 0). So does running out of _CF_MAX_ITER terms,
-    carrying the partial value.
+    carrying the partial value. The term counters m and 2m are floats,
+    exact up to _CF_MAX_ITER, so every operation in a term is float-float.
     """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
+    m = 0.0
     try:
         d = 1.0 / (1.0 - qab * u / qap)
         h = d
-        for m in range(1, _CF_MAX_ITER + 1):
-            m2 = 2 * m
-            aa = m * (b - m) * u / ((qam + m2) * (a + m2))
+        for _ in range(_CF_MAX_ITER):
+            m += 1.0
+            m2 = m + m
+            am2 = a + m2
+            aa = m * (b - m) * u / ((qam + m2) * am2)
             d = 1.0 / (1.0 + aa * d)
             c = 1.0 + aa / c
             h *= d * c
-            aa = -(a + m) * (qab + m) * u / ((a + m2) * (qap + m2))
+            aa = -(a + m) * (qab + m) * u / (am2 * (qap + m2))
             d = 1.0 / (1.0 + aa * d)
             c = 1.0 + aa / c
             delta = d * c
@@ -234,6 +238,7 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
         return 0.0
     # Relative in the lower tail, so that a tiny q still steers the solve.
     tol = _F_TOL * min(1.0, 2.0 * q)
+    log_q = math.log(q)
 
     while True:
         i_u = _reg_inc_beta_raw(a, b, u, log_b)
@@ -254,13 +259,14 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
         # correction outside (0, 2) means the step leaves the region where
         # the local model holds, so the Newton step is taken.
         low = q < 0.5 and i_u > 0.0
-        log_scale = math.log(i_u) - log_dens if low else -log_dens
+        log_i = math.log(i_u) if low else 0.0
+        log_scale = log_i - log_dens
         scale = math.exp(log_scale) if log_scale < _LOG_DBL_MAX else math.inf
         curv = am1 / u - bm1 / (1.0 - u)
         if not 0.0 < scale < math.inf:
             step = curv = math.nan
         elif low:
-            step = scale * (math.log(i_u) - math.log(q))
+            step = scale * (log_i - log_q)
             curv -= 1.0 / scale
         else:
             step = fu * scale

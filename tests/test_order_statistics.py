@@ -236,6 +236,18 @@ class TestRankCdf:
             fd = (cdf_rth(d, idx, x + h) - cdf_rth(d, idx, x - h)) / (2.0 * h)
             assert abs(fd - pdf_rth(d, idx, x)) <= 1e-6
 
+    def test_float_shapes_match_int_shapes_bitwise(self):
+        # cdf_rth passes the kernel float shapes; below 2^53 the int shapes
+        # (r, n-r+1) give the same arithmetic.
+        rng = random.Random(25)
+        for _ in range(2000):
+            d = GeneralizedHalfLogistic(10.0 ** rng.uniform(-3.0, 3.0))
+            n = int(10.0 ** rng.uniform(0.0, 4.0))
+            r = rng.randint(1, n)
+            x = 10.0 ** rng.uniform(-6.0, 2.0)
+            want = special.reg_inc_beta(r, n - r + 1, d._pair(x, "cdf_rth")[0])
+            assert cdf_rth(d, OrderIndex(r, n), x) == want, (d.b, r, n, x)
+
     @pytest.mark.parametrize("r, n", [(500, 1000), (1, 10000)])
     def test_log_gamma_calls_do_not_grow_with_n(self, monkeypatch, r, n):
         # One incomplete beta for the rank, whose log_beta makes the only

@@ -50,6 +50,19 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(seed=seed, counter=counter)
 
+    @pytest.mark.parametrize("n", [1, 2, 257])
+    @pytest.mark.parametrize("counter", [0, 5, 2**64 + 3])
+    @pytest.mark.parametrize("seed", [0, 31337, 2**64 - 1])
+    def test_batch_of_uniforms_matches_reference(self, seed, counter, n):
+        # 2^64 + 3 makes seed + i * golden wrap the 64-bit mask.
+        s = RngStream(seed, counter)
+        got = s._uniforms(n)
+        assert got == [((k >> 12) + 0.5) * 2.0**-52 for k in _raw_ints(seed, n, counter)]
+        assert s.counter == counter + n
+        one = RngStream(seed, counter)
+        assert [one.next_uniform() for _ in range(n)] == got
+        assert one.counter == s.counter
+
     def test_integral_float_seed_and_counter(self):
         # Stored as int, so the mix's & and >> accept them.
         a = RngStream(2.0, 3.0)
@@ -57,10 +70,15 @@ class TestRngStream:
         assert [a.next_uniform() for _ in range(5)] == [b.next_uniform() for _ in range(5)]
 
 
-def _raw_ints(seed, count):
+def _raw_ints(seed, count, counter=0):
+    # The 64-bit words of uniforms counter+1 .. counter+count, indexed here
+    # rather than by RngStream. next_uniform and sample now share one
+    # mapping, RngStream._uniforms, so this is the only copy of the
+    # (seed, i) indexing outside it; the mix itself is imported, and the CI
+    # step's `ghl3 sample` lines pin its bits.
     from ghl3.sampling import _GOLDEN, _MASK64, _mix64
 
-    return [_mix64((seed + (i + 1) * _GOLDEN) & _MASK64) for i in range(count)]
+    return [_mix64((seed + (counter + i + 1) * _GOLDEN) & _MASK64) for i in range(count)]
 
 
 class TestSample:

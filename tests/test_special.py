@@ -208,6 +208,51 @@ class TestRegIncBeta:
             value = special._betacf(a, b, v)
             assert math.isfinite(value) and value > 0.0, (a, b, v)
 
+    def test_float_counters_match_int_counter_loop_bitwise(self):
+        # Counters up to _CF_MAX_ITER are exact floats, so every term does
+        # the IEEE operations of the int-counter loop on the same values.
+        rng = random.Random(25)
+        points = []
+        for _ in range(10000):
+            a, b = (10.0 ** rng.uniform(-323.3, 4.0) for _ in range(2))
+            points.append((a, b))
+            points.append((10.0 ** rng.uniform(-3.0, 4.0), 10.0 ** rng.uniform(-3.0, 4.0)))
+        for _ in range(3000):
+            n = int(10.0 ** rng.uniform(0.0, 4.0))
+            r = rng.randint(1, n)
+            points.append((r, n - r + 1))
+            points.append((float(r), n - r + 1.0))
+        for a, b in points:
+            top = (a + 1.0) / (a + b + 2.0)
+            u = top * rng.choice([1.0, rng.random(), rng.random() * 1e-12])
+            if u > 0.0:
+                assert special._betacf(a, b, u) == _int_counter_betacf(a, b, u), (a, b, u)
+
+
+def _int_counter_betacf(a, b, u):
+    # special._betacf as it was with an int counter m and m2 = 2 * m: the
+    # reference for the float-counter loop on the convergent side.
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 / (1.0 - qab * u / qap)
+    h = d
+    for m in range(1, special._CF_MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * u / ((qam + m2) * (a + m2))
+        d = 1.0 / (1.0 + aa * d)
+        c = 1.0 + aa / c
+        h *= d * c
+        aa = -(a + m) * (qab + m) * u / ((a + m2) * (qap + m2))
+        d = 1.0 / (1.0 + aa * d)
+        c = 1.0 + aa / c
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < special._CF_EPS:
+            return h
+    raise AssertionError(f"reference loop did not converge at a={a}, b={b}, u={u}")
+
 
 class TestInverse:
     def test_symmetric_median(self):
