@@ -18,11 +18,12 @@ The cdf is computed two ways on purpose:
   independent cross-check of the closed form.
 
 Both are exposed; odd moments integrate the density, even ones are exact.
-Survival, hazard, interval probabilities and the order statistics read F,
-S and ln f from one short continued fraction of the pair (_pair); the cdf
-is one reg_inc_beta call, and the quantile and median invert it at (1/2, b).
-All operations are pure and instances are immutable, so values are safe to
-share across threads.
+By B(b, b) = 2^(1-2b) B(1/2, b) the density is s^b / B(1/2, b), and every
+density reads ln s from one _log_s(x). Survival, hazard, interval
+probabilities and the order statistics read F, S and ln f from one short
+continued fraction of the pair (_pair); the cdf is one reg_inc_beta call,
+and the quantile and median invert it at (1/2, b). All operations are pure
+and instances are immutable, so values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ __all__ = [
     "logistic_sigma",
 ]
 
-_LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
+_LOG_S_SWITCH = 2.0 * math.asinh(1.0)  # tanh^2(x/2) = 1/2; t*t is still below 1/2 at this double
 _SQRT_PI = math.sqrt(math.pi)
 _MAX_SHAPE = 1e3
 # B_2l / (2l)! for l = 1..10: the Euler-Maclaurin tail of the Hurwitz zeta (A&S 6.4.11).
@@ -109,10 +110,19 @@ def _even_moments(b: float, n_max: int) -> list[float]:
     return m[1:]
 
 
+def _log_s(x: float) -> float:
+    """ln s with s = sech^2(x/2), x >= 0: log1p(-t^2) with t = tanh(x/2) while t^2 < 1/2
+    keeps the digits of s, then ln 4 - x - 2*log1p(e^-x), finite where s underflows."""
+    if x <= _LOG_S_SWITCH:
+        t = math.tanh(0.5 * x)
+        return math.log1p(-t * t)
+    return _LN4 - x - 2.0 * math.log1p(math.exp(-x))
+
+
 def half_logistic_pdf(y: float) -> float:
-    """Density 2*e^y / (1 + e^y)^2 of the standard half logistic, y >= 0."""
+    """Density 2*e^y / (1 + e^y)^2 = sech^2(y/2)/2 of the standard half logistic, y >= 0."""
     _check_support(y, "half_logistic_pdf")
-    return math.exp(_LN2 - y - 2.0 * math.log1p(math.exp(-y)))
+    return 0.5 * math.exp(_log_s(y))
 
 
 def half_logistic_cdf(y: float) -> float:
@@ -154,12 +164,10 @@ class GeneralizedHalfLogistic:
     """Type III generalized half logistic distribution with shape b.
 
     tol is the numeric policy handed to the quadrature-backed operations
-    (cdf_quadrature, moment, moments). log_norm caches ln 2 - ln B(b, b), the log
-    of the normalizing constant, as 2b ln 2 - ln B(1/2, b) by the
-    duplication formula B(b, b) = 2^(1-2b) B(1/2, b); ln B(1/2, b), which
-    _pair reads too, is cached beside it, and so is f(0) = 1/B(1/2, b), the
-    slope of the line F = x f(0) that cdf_quadrature and the quantile share
-    near the origin.
+    (cdf_quadrature, moment, moments). ln B(1/2, b), which every density
+    reads, and f(0) = 1/B(1/2, b), the slope of the line F = x f(0) that
+    cdf_quadrature and the quantile share near the origin, are cached; so is
+    log_norm = ln 2 - ln B(b, b) = b ln 4 - ln B(1/2, b), kept but not read.
     """
 
     b: float
@@ -173,7 +181,7 @@ class GeneralizedHalfLogistic:
         b = self.b
         log_beta_half = log_beta(0.5, b)
         object.__setattr__(self, "_log_beta_half", log_beta_half)
-        object.__setattr__(self, "log_norm", 2.0 * b * _LN2 - log_beta_half)
+        object.__setattr__(self, "log_norm", b * _LN4 - log_beta_half)
         # Up to b = 1, 1/B is b G(b + 1/2)/(G(b + 1) sqrt(pi)): exp(-ln B) would turn
         # ln B's absolute error into relative error, and underflow below b ~ 1e-307.
         f0 = (b * (math.gamma(b + 0.5) / math.gamma(b + 1.0)) / _SQRT_PI if b <= 1.0
@@ -183,17 +191,17 @@ class GeneralizedHalfLogistic:
     # -- density ---------------------------------------------------------
 
     def log_pdf(self, x: float) -> float:
-        """log f(x) = log_norm - b*(x + 2*log(1 + e^-x)); nothing overflows,
-        so a huge x gives -inf."""
+        """log f(x) = b ln s - ln B(1/2, b) with s = sech^2(x/2); nothing
+        overflows, and ln s stays finite where s underflows."""
         if not 0.0 <= x < math.inf:
             _check_support(x, "log_pdf")
-        return self.log_norm - self.b * (x + 2.0 * math.log1p(math.exp(-x)))
+        return self.b * _log_s(x) - self._log_beta_half
 
     def pdf(self, x: float) -> float:
-        """Density (2 / B(b,b)) * e^(b*x) / (1 + e^x)^(2b) for x >= 0."""
+        """Density (2 / B(b,b)) e^(b x) / (1 + e^x)^(2b) = exp(log_pdf(x)), x >= 0."""
         if not 0.0 <= x < math.inf:
             _check_support(x, "pdf")
-        return math.exp(self.log_norm - self.b * (x + 2.0 * math.log1p(math.exp(-x))))
+        return math.exp(self.b * _log_s(x) - self._log_beta_half)
 
     # -- distribution function, two routes --------------------------------
 
@@ -229,13 +237,7 @@ class GeneralizedHalfLogistic:
         b = self.b
         t = math.tanh(0.5 * x)
         t2 = t * t
-        # ln s = log1p(-t^2) while t^2 keeps the digits of s; log_pdf's form
-        # cancels two terms near 2b ln 2 there. Further out the form keeps
-        # working where s underflows (x > ~745): there K = 1 and S = f*t/b.
-        if t2 < 0.5:
-            log_s = math.log1p(-t2)
-        else:
-            log_s = _LN4 - x - 2.0 * math.log1p(math.exp(-x))
+        log_s = _log_s(x)
         log_f = b * log_s - self._log_beta_half
         f = math.exp(log_f)
         if t2 < 1.5 / (b + 2.5):

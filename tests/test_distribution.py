@@ -200,9 +200,9 @@ class TestDensity:
 
     def test_relative_accuracy_against_mpmath(self):
         # 25 log-spaced b in [1e-3, 1e3] x 40 log-spaced x in [1e-12, 700],
-        # where the density is a normal double. At large b the error is
-        # that of ln B(b, b) = 2 ln Gamma(b) - ln Gamma(2b), whose terms
-        # reach 1.3e4: rounding alone leaves up to ~2.5e-12 absolute there.
+        # where the density is a normal double. ln f = b ln s - ln B(1/2, b)
+        # is good to a few ulps of max(1, |ln f|), and exp carries that into
+        # f as relative error: about 1.3e-13 at worst, where |ln f| nears 700.
         import mpmath as mp
 
         worst = 0.0
@@ -219,11 +219,10 @@ class TestDensity:
         assert worst <= 3e-12
 
     def test_large_shape_relative_accuracy_against_mpmath(self):
-        # log_norm = 2b ln 2 - ln B(1/2, b) with ln B(1/2, b) from the
-        # gamma-ratio series, not from ln Gamma terms in the thousands. The
-        # bound is log_pdf's own rounding: b times the error of
-        # x + 2 log1p(e^-x) ~ 2 ln 2, about 3.5e-13 even with a correctly
-        # rounded log_norm.
+        # ln B(1/2, b) comes from the gamma-ratio series, not from ln Gamma
+        # terms in the thousands, and ln s = log1p(-tanh^2(x/2)) near the
+        # origin, so b ln s cancels nothing. What is left is the rounding of
+        # ln f carried through exp, about 1.3e-13 at worst on this grid.
         import mpmath as mp
 
         worst = 0.0
@@ -238,6 +237,34 @@ class TestDensity:
                     if ref >= 1e-300:
                         worst = max(worst, abs(d.pdf(float(x)) - ref) / ref)
         assert worst <= 5e-13
+
+    def test_density_and_log_density_on_a_random_grid_against_mpmath(self):
+        # 3000 seeded (b, x), b log-uniform in [1e-3, 1e3] and x in
+        # [1e-12, 700], against sech(x/2)^(2b) / B(1/2, b) at 40 digits, a
+        # form none of the other references use. Near the origin ln s must
+        # come from log1p(-tanh^2(x/2)): b (x + 2 log1p(e^-x)) cancels terms
+        # near 2b ln 2 there and misses both bounds (3.3e-13 in f and
+        # 1.2e-13 in ln f on this grid).
+        import mpmath as mp
+
+        rng = random.Random(26)
+        worst_f = worst_log = worst_half = 0.0
+        with mp.workdps(40):
+            for _ in range(3000):
+                b = 10.0 ** rng.uniform(-3.0, 3.0)
+                x = 10.0 ** rng.uniform(-12.0, math.log10(700.0))
+                d = GeneralizedHalfLogistic(b)
+                ref = mp.sech(mp.mpf(x) / 2) ** (2 * b) / mp.beta(0.5, b)
+                log_ref = mp.log(ref)
+                worst_log = max(worst_log, abs(d.log_pdf(x) - log_ref) / max(1, abs(log_ref)))
+                if ref >= 1e-300:
+                    worst_f = max(worst_f, abs(d.pdf(x) - ref) / ref)
+                half = mp.sech(mp.mpf(x) / 2) ** 2 / 2
+                if half >= 1e-300:
+                    worst_half = max(worst_half, abs(half_logistic_pdf(x) - half) / half)
+        assert worst_f <= 2e-13
+        assert worst_log <= 2e-14
+        assert worst_half <= 2e-13
 
     def test_cached_log_beta_half_against_mpmath(self):
         # The series branch (b >= 20) and log_beta(1/2, b) below it.
@@ -361,6 +388,23 @@ class TestCdf:
                         assert abs(got - ref) <= 4 * math.ulp(float(ref)), (b, x)
                     else:
                         assert abs(got - ref) <= 5e-324, (b, x)
+
+    def test_quadrature_route_across_its_line_against_mpmath(self):
+        # Either side of x = 1e-9, where the route leaves the line x f(0)
+        # for quadrature of the density, F keeps its relative digits if the
+        # density does: with ln f = log_norm - b (x + 2 log1p(e^-x)) F steps
+        # by up to 7.2e-14 at b = 1000. At b <= 1 both sides carry
+        # ln B(1/2, b)'s own error, about 1.5e-15 relative, so those shapes
+        # are left out.
+        import mpmath as mp
+
+        with mp.workdps(40):
+            for b in (2.0, 100.0, 1000.0):
+                d = GeneralizedHalfLogistic(b)
+                for x in (math.nextafter(1e-9, 0.0), 1e-9, 1.5e-9, 1e-8, 1e-6):
+                    t = mp.tanh(mp.mpf(x) / 2)
+                    ref = mp.betainc(0.5, b, 0, t * t, regularized=True)
+                    assert abs(d.cdf_quadrature(x) - ref) <= 1e-15 * ref, (b, x)
 
 
 class TestSurvivalHazard:
