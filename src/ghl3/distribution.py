@@ -166,13 +166,11 @@ class GeneralizedHalfLogistic:
     tol is the numeric policy handed to the quadrature-backed operations
     (cdf_quadrature, moment, moments). ln B(1/2, b), which every density
     reads, and f(0) = 1/B(1/2, b), the slope of the line F = x f(0) that
-    cdf_quadrature and the quantile share near the origin, are cached; so is
-    log_norm = ln 2 - ln B(b, b) = b ln 4 - ln B(1/2, b), kept but not read.
+    cdf_quadrature and the quantile share near the origin, are cached.
     """
 
     b: float
     tol: Tolerance = Tolerance()
-    log_norm: float = field(init=False, repr=False, compare=False)
     _log_beta_half: float = field(init=False, repr=False, compare=False)
     _f0: float = field(init=False, repr=False, compare=False)
 
@@ -181,7 +179,6 @@ class GeneralizedHalfLogistic:
         b = self.b
         log_beta_half = log_beta(0.5, b)
         object.__setattr__(self, "_log_beta_half", log_beta_half)
-        object.__setattr__(self, "log_norm", b * _LN4 - log_beta_half)
         # Up to b = 1, 1/B is b G(b + 1/2)/(G(b + 1) sqrt(pi)): exp(-ln B) would turn
         # ln B's absolute error into relative error, and underflow below b ~ 1e-307.
         f0 = (b * (math.gamma(b + 0.5) / math.gamma(b + 1.0)) / _SQRT_PI if b <= 1.0

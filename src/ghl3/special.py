@@ -2,12 +2,13 @@
 
 Everything here is scalar, pure, and written against binary64. The
 incomplete beta function is evaluated by a Lentz continued fraction with
-Numerical Recipes' symmetry switch at u > (a+1)/(a+b+2); a denominator
-that rounds to 0 raises ConvergenceError. Its inverse is a guarded
-Halley/Newton iteration inside a bisection bracket that stops once a
-trusted Halley step is cubically small, after one evaluation at
-(1/2, b >= 2) from Hill's Student-t quantile seed. Arguments up to ~1e3
-are handled in log space so B(b,b) never underflows.
+Numerical Recipes' symmetry switch at u > (a+1)/(a+b+2), giving I and
+1 - I; a denominator that rounds to 0 raises ConvergenceError. Its
+inverse steps on the log of the smaller side, with its residual relative
+to min(q, 1 - q): one guarded Halley/Newton iteration inside a bisection
+bracket that stops once a trusted Halley step is cubically small, after
+one evaluation at (1/2, b >= 2) from Hill's Student-t quantile seed.
+Arguments up to ~1e3 are handled in log space so B(b,b) never underflows.
 """
 
 from __future__ import annotations
@@ -116,14 +117,17 @@ def _betacf(a: float, b: float, u: float) -> float:
     )
 
 
-def _reg_inc_beta_raw(a: float, b: float, u: float, log_b: float) -> float:
+def _reg_inc_beta_raw(a: float, b: float, u: float, log_b: float) -> tuple[float, float]:
     # Hot path shared with the inverse; arguments already validated,
     # 0 < u < 1 strictly (the callers own the endpoints), and log B(a,b)
-    # precomputed by the caller.
+    # precomputed by the caller. Returns (I, 1 - I), the fraction's own
+    # side formed without a subtraction.
     front = math.exp(a * math.log(u) + b * math.log1p(-u) - log_b)
     if u <= (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, u) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - u) / b
+        i = front * _betacf(a, b, u) / a
+        return i, 1.0 - i
+    j = front * _betacf(b, a, 1.0 - u) / b
+    return 1.0 - j, j
 
 
 def reg_inc_beta(a: float, b: float, u: float) -> float:
@@ -139,7 +143,7 @@ def reg_inc_beta(a: float, b: float, u: float) -> float:
         return 0.0
     if u == 1.0:
         return 1.0
-    return min(1.0, max(0.0, _reg_inc_beta_raw(a, b, u, log_beta(a, b))))
+    return min(1.0, max(0.0, _reg_inc_beta_raw(a, b, u, log_beta(a, b))[0]))
 
 
 def _inverse_seed(a: float, b: float, q: float, log_b: float) -> float:
@@ -212,14 +216,14 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     """Inverse of reg_inc_beta in its last argument: u with I_u(a, b) = q.
 
     Halley steps (plain Newton where the Halley correction is not
-    trusted), on ln I_u below q = 1/2, from a Hill t-quantile, Abramowitz &
-    Stegun 26.5.22 or tail power-law seed inside the bracket [0, 1]. Every
-    iterate becomes an end of the bracket and a step that leaves it bisects
-    instead, so the next iterate lies strictly inside and the bracket
-    shrinks on every pass. The solve ends on a residual within _F_TOL,
-    relative to q below q = 1/2, on a step that rounds away, or after a
-    trusted Halley step within _STOP_STEP of min(u, 1 - u), whose error is
-    of order its cube.
+    trusted) on ln I_u up to q = 1/2 and on ln(1 - I_u) above, from a Hill
+    t-quantile, Abramowitz & Stegun 26.5.22 or tail power-law seed inside
+    the bracket [0, 1]. Every iterate becomes an end of the bracket and a
+    step that leaves it bisects instead, so the next iterate lies strictly
+    inside and the bracket shrinks on every pass. The solve ends on a
+    residual within 2 _F_TOL min(q, 1 - q), on a step that rounds away, or
+    after a trusted Halley step within _STOP_STEP of min(u, 1 - u), whose
+    error is of order its cube.
     """
     _check_shape_pair(a, b)
     if not (0.0 <= q <= 1.0):
@@ -236,13 +240,15 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     u = _inverse_seed(a, b, q, log_b)
     if u == 0.0:
         return 0.0
-    # Relative in the lower tail, so that a tiny q still steers the solve.
-    tol = _F_TOL * min(1.0, 2.0 * q)
-    log_q = math.log(q)
+    # The smaller side, I_u against q or 1 - I_u against 1 - q (exact for
+    # q >= 1/2): a residual relative to it lets a tiny one steer the solve.
+    side, target, pick = (1.0, q, 0) if q <= 0.5 else (-1.0, 1.0 - q, 1)
+    tol = 2.0 * _F_TOL * target
+    log_t = math.log(target)
 
     while True:
-        i_u = _reg_inc_beta_raw(a, b, u, log_b)
-        fu = i_u - q
+        small = _reg_inc_beta_raw(a, b, u, log_b)[pick]
+        fu = side * (small - target)
         if fu > 0.0:
             hi = u
         else:
@@ -250,35 +256,30 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
         # Density f of the beta distribution at u, in log space; next to a
         # pole of a shape below 1 it can pass the binary64 range.
         log_dens = am1 * math.log(u) + bm1 * math.log1p(-u) - log_b
-        # Halley on I_u - q, with f''/f' = (a-1)/u - (b-1)/(1-u) for the
-        # beta density. Below q = 1/2 it works on ln(I_u / q) instead:
-        # from far above a tiny q, the step on I_u - q crawls down the
-        # steep tail, while the one on the log is exact for an exponential
-        # tail. That step needs only I/f, formed in logs: next to a
-        # subnormal root f overflows, while I/f ~ u/a does not. A
+        # Halley on ln(small / target), with f''/f' = (a-1)/u - (b-1)/(1-u)
+        # for the beta density: from far off a tiny target, a step on
+        # small - target crawls along the steep tail, while the one on the
+        # log is exact for an exponential tail. It needs only small/f,
+        # formed in logs: next to a subnormal root f overflows, while I/f ~
+        # u/a does not. A small side that underflows bisects, and a
         # correction outside (0, 2) means the step leaves the region where
         # the local model holds, so the Newton step is taken.
-        low = q < 0.5 and i_u > 0.0
-        log_i = math.log(i_u) if low else 0.0
-        log_scale = log_i - log_dens
+        log_small = math.log(small) if small > 0.0 else -math.inf
+        log_scale = log_small - log_dens
         scale = math.exp(log_scale) if log_scale < _LOG_DBL_MAX else math.inf
         curv = am1 / u - bm1 / (1.0 - u)
         if not 0.0 < scale < math.inf:
             step = curv = math.nan
-        elif low:
-            step = scale * (log_i - log_q)
-            curv -= 1.0 / scale
         else:
-            step = fu * scale
+            step = side * scale * (log_small - log_t)
+            curv -= side / scale
         corr = 1.0 - 0.5 * step * curv
         trusted = 0.0 < corr < 2.0
         if trusted:
             step /= corr
         u_new = u - step
-        # A residual within tolerance ends the solve unless the local model
-        # says the root is still far off, as in the upper tail where 1 - q
-        # is below _F_TOL. The last step is free: the density is in hand.
-        if abs(fu) <= tol and (trusted or math.isnan(step)):
+        # A residual within tolerance ends the solve; the last step is free.
+        if abs(fu) <= tol:
             return u_new if lo < u_new < hi else u
         if trusted and abs(step) <= _STOP_STEP * min(u, 1.0 - u) and lo < u_new < hi:
             return u_new

@@ -904,6 +904,25 @@ class TestQuantilesAndMode:
                     x = d.quantile(p)
                     assert abs(x - ref) <= 1e-11 * ref, (b, p)
 
+    def test_upper_tail_relative_accuracy_against_mpmath(self):
+        # Root of S(x) = I_{sech^2(x/2)}(b, 1/2) = 1 - p at 40 digits, solved
+        # on ln S. A step on I_u - q left 1.2e-7 at b = 10, p = 1 - 1e-11.
+        import mpmath as mp
+
+        with mp.workdps(40):
+            for b in [2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 300.0, 1e3]:
+                d = GeneralizedHalfLogistic(b)
+                for k in range(3, 13):
+                    p = 1.0 - 10.0**-k
+                    log_t = mp.log(1 - mp.mpf(p))
+                    x = d.quantile(p)
+                    ref = mp.findroot(
+                        lambda t: mp.log(mp.betainc(b, 0.5, 0, mp.sech(t / 2) ** 2,
+                                                    regularized=True)) - log_t,
+                        mp.mpf(x),
+                    )
+                    assert abs(x - ref) <= 1e-11 * ref, (b, p)
+
     def test_far_lower_tail_against_mpmath(self):
         # x = p B(1/2, b) below 1e-9, where the inverse's u = tanh^2(x/2)
         # would underflow once p is below about 1e-154.
@@ -919,8 +938,9 @@ class TestQuantilesAndMode:
 
     def test_largest_p_below_one(self):
         # (1 + p)/2 rounds to 1 at p = 1 - 2^-53; the seed takes its normal
-        # deviate from (1 - p)/2 instead. The root there is only as good as
-        # the solve's absolute residual allows (about 1% at b = 1).
+        # deviate from (1 - p)/2 instead. With the solve on ln(1 - I_u) the
+        # root is 1.6e-16 off at b = 1 (1% with an absolute residual); the
+        # rounding of u next to 1 leaves 1.1e-10 at b = 2.
         import mpmath as mp
 
         top = math.nextafter(1.0, 0.0)
@@ -1018,7 +1038,7 @@ class TestQuantilesAndMode:
         # Hill's t-quantile seed from b = 1 on: the root of
         # F(x) = I_{tanh^2(x/2)}(1/2, b) = p at 40 digits, for p uniform on
         # [1e-12, 1 - 1e-9] and, on every other draw, log-uniform in the
-        # lower tail. Past p ~ 1 - 1e-4 the solve's absolute residual bounds
+        # lower tail. Past p ~ 1 - 1e-4 the rounding of u next to 1 bounds
         # the accuracy instead (ROADMAP, solving in x).
         import mpmath as mp
 
@@ -1062,13 +1082,6 @@ class TestImmutability:
         d = GeneralizedHalfLogistic(2.0)
         with pytest.raises(AttributeError):
             d.b = 3.0
-
-    def test_log_norm_cached_consistently(self):
-        from ghl3 import log_beta
-
-        for b in [0.5, 2.0, 40.0]:
-            d = GeneralizedHalfLogistic(b)
-            assert d.log_norm == pytest.approx(math.log(2.0) - log_beta(b, b), rel=1e-15)
 
     def test_custom_tolerance_carried(self):
         tol = Tolerance(abs_tol=1e-6, rel_tol=1e-6)

@@ -251,8 +251,8 @@ class TestRankCdf:
     @pytest.mark.parametrize("r, n", [(500, 1000), (1, 10000)])
     def test_log_gamma_calls_do_not_grow_with_n(self, monkeypatch, r, n):
         # One incomplete beta for the rank, whose log_beta makes the only
-        # three log_gamma calls; the survival makes none, as it reads the
-        # cached log_norm. The binomial sum made 3 per term.
+        # three log_gamma calls; the survival makes none, as _pair reads the
+        # cached ln B(1/2, b). The binomial sum made 3 per term.
         calls = []
         original = special.log_gamma
 

@@ -377,6 +377,54 @@ class TestInverse:
                     got = mp.betainc(0.5, b, 0, inv_reg_inc_beta(0.5, b, q), regularized=True)
                     assert abs(got - q) <= 1e-13 * min(q, 1 - q), (b, q)
 
+    def test_upper_tail_complement_relative_accuracy_against_mpmath(self):
+        # Above q = 1/2 the solve steps on ln(1 - I_u), so 1 - u keeps its
+        # relative digits: against the 40-digit root w of the complement
+        # I_w(b, a) = 1 - q, within 2^-53 (the rounding of u) plus 1e-12 w,
+        # wherever w >= 1e-12. A step on I_u - q was 8.2e-2 off at
+        # (1000, 3, 1 - 1e-14).
+        import mpmath as mp
+
+        def newton(g, y):
+            # g(y) gives (value, slope); from the solve's own root the
+            # oracle needs two or three steps.
+            for _ in range(100):
+                val, slope = g(y)
+                step = val / slope
+                y -= step
+                if abs(step) <= 1e-30 * max(1, abs(y)):
+                    return y
+            raise AssertionError("oracle did not converge")
+
+        shapes = [1e-3, 0.03, 0.5, 1.0, 3.0, 30.0, 1e3]
+        with mp.workdps(40):
+            for a in shapes:
+                for b in shapes:
+                    beta = mp.beta(a, b)
+                    for k in range(2, 15):
+                        q = 1.0 - 10.0**-k
+                        u = inv_reg_inc_beta(a, b, q)
+                        got = 1 - mp.mpf(u)
+                        log_t = mp.log(1 - mp.mpf(q))
+                        if u < 0.5:
+                            # w > 1/2: solve in v = ln(1 - w), on the upper
+                            # integral of Beta(a, b) from e^v.
+                            def g(v):
+                                x = mp.exp(v)
+                                s = mp.betainc(a, b, x, 1, regularized=True)
+                                return mp.log(s) - log_t, -(x**a) * (1 - x) ** (b - 1) / (beta * s)
+
+                            w = 1 - mp.exp(newton(g, mp.log(u)))
+                        else:
+                            def g(y):
+                                x = mp.exp(y)
+                                s = mp.betainc(b, a, 0, x, regularized=True)
+                                return mp.log(s) - log_t, x**b * (1 - x) ** (a - 1) / (beta * s)
+
+                            w = mp.exp(newton(g, mp.log(got) if u < 1.0 else mp.mpf(-40)))
+                        if w >= 1e-12:
+                            assert abs(got - w) <= 2.0**-53 + 1e-12 * w, (a, b, k)
+
     def test_underflowing_root_returns_zero_without_kernel_calls(self, monkeypatch):
         # The lower power law puts these roots below half the smallest
         # subnormal, which bisection would reach in 79 evaluations; a root
