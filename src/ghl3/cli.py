@@ -19,6 +19,7 @@ from .order_statistics import OrderIndex, pdf_rth
 from .quadrature import ConvergenceError, Tolerance
 from .sampling import RngStream, sample
 from .tables import (
+    _TABLE_IDS,
     Table,
     TableSpec,
     build_table,
@@ -34,7 +35,9 @@ __all__ = ["main"]
 _EXIT_USAGE = 2
 _EXIT_NO_CONVERGENCE = 3
 
-_EVAL_FUNCTIONS = ("pdf", "cdf", "survival", "hazard", "quantile", "moment", "ordstat-pdf")
+# Each eval function and the flags it reads, in argument order.
+_EVAL_FLAGS = {"pdf": ("x",), "cdf": ("x",), "survival": ("x",), "hazard": ("x",),
+               "quantile": ("p",), "moment": ("order",), "ordstat-pdf": ("x", "r", "n")}
 
 
 def _parse_b_list(text: str) -> tuple[float, ...]:
@@ -75,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="emit a cdf grid, moments table, or median table")
-    p_table.add_argument("kind", choices=("cdf", "moments", "median"))
+    p_table.add_argument("kind", choices=_TABLE_IDS)
     p_table.add_argument("--b", type=float, help="single shape value")
     p_table.add_argument("--b-list", type=_parse_b_list, metavar="LO..HI",
                          help="inclusive range of shapes in steps of 1")
@@ -92,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table)
 
     p_eval = sub.add_parser("eval", help="print one function value to 10 significant digits")
-    p_eval.add_argument("function", choices=_EVAL_FUNCTIONS)
+    p_eval.add_argument("function", choices=_EVAL_FLAGS)
     p_eval.add_argument("--b", type=float, required=True, help="shape value")
     p_eval.add_argument("--x", type=float, help="evaluation point on [0, inf)")
     p_eval.add_argument("--p", type=float, help="probability level for quantile")
@@ -148,31 +151,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require(args: argparse.Namespace, names: list[str]) -> list[float]:
-    values = []
-    for name in names:
-        v = getattr(args, name)
-        if v is None:
-            raise ValueError(f"eval {args.function} requires --{name}")
-        values.append(v)
-    return values
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     dist = GeneralizedHalfLogistic(args.b, _tolerance(args))
     fn = args.function
-    if fn == "quantile":
-        (p,) = _require(args, ["p"])
-        value = dist.quantile(p)
-    elif fn == "moment":
-        (order,) = _require(args, ["order"])
-        value = dist.moment(order)
-    elif fn == "ordstat-pdf":
-        x, r, n = _require(args, ["x", "r", "n"])
+    values = []
+    for name in _EVAL_FLAGS[fn]:
+        if getattr(args, name) is None:
+            raise ValueError(f"eval {fn} requires --{name}")
+        values.append(getattr(args, name))
+    if fn == "ordstat-pdf":
+        x, r, n = values
         value = pdf_rth(dist, OrderIndex(r, n), x)
     else:
-        (x,) = _require(args, ["x"])
-        value = getattr(dist, fn)(x)
+        value = getattr(dist, fn)(*values)
     print(f"{value:.10g}")
     return 0
 
@@ -190,12 +181,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NO_CONVERGENCE
+        return _EXIT_NO_CONVERGENCE if isinstance(exc, ConvergenceError) else _EXIT_USAGE
 
 
 if __name__ == "__main__":

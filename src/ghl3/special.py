@@ -8,7 +8,7 @@ inverse steps on the log of the smaller side, with its residual relative
 to min(q, 1 - q): one guarded Halley/Newton iteration inside a bisection
 bracket that stops once a trusted Halley step is cubically small, after
 one evaluation at (1/2, b >= 2) from Hill's Student-t quantile seed.
-Arguments up to ~1e3 are handled in log space so B(b,b) never underflows.
+ln B(a, b) comes from log_beta, and the front factor is formed in logs.
 """
 
 from __future__ import annotations

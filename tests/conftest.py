@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 # The both-tails mpmath sweeps: 13 log-spaced b in [1e-3, 1e3] and 24
 # log-spaced x in [1e-12, 2e3].
 SWEEP_SHAPES = [10.0 ** (-3 + i / 2) for i in range(13)]
@@ -34,3 +36,25 @@ def mp_pair(b, x):
     if x >= 60:
         return 1 - s, s
     return mp.betainc(0.5, b, 0, mp.tanh(t / 2) ** 2, regularized=True), s
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(name, *owners) binds owner.name on each owner to one
+    wrapper that appends each call's arguments to a list and then calls the
+    original, owners[0].name; it returns the list. The test's own
+    monkeypatch restores the originals."""
+
+    def install(name, *owners):
+        calls = []
+        original = getattr(owners[0], name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    return install

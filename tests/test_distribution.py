@@ -656,22 +656,14 @@ class TestMoments:
                 ).evaluations
         assert total / (61 * 4) <= 240
 
-    def test_density_evaluations_per_moments_pass(self, monkeypatch):
+    def test_density_evaluations_per_moments_pass(self, count_calls):
         # One pass samples the density once per node for the odd orders (the
         # even ones are closed forms): about 250 evaluations, where four
         # calls to moment make about 880.
-        calls = 0
-        pdf = GeneralizedHalfLogistic.pdf
-
-        def counting_pdf(self, x):
-            nonlocal calls
-            calls += 1
-            return pdf(self, x)
-
-        monkeypatch.setattr(GeneralizedHalfLogistic, "pdf", counting_pdf)
+        calls = count_calls("pdf", GeneralizedHalfLogistic)
         for i in range(61):
             GeneralizedHalfLogistic(10.0 ** (-3 + i / 10)).moments(4)
-        assert calls / 61 <= 300
+        assert len(calls) / 61 <= 300
 
     def test_moments_agree_with_moment(self):
         for b in [0.01, 1.0, 2.0, 7.5, 300.0]:
@@ -975,20 +967,13 @@ class TestQuantilesAndMode:
                 xs = [d.quantile(p_edge * (1.0 + k * step)) for k in range(-50, 51)]
                 assert all(x1 <= x2 for x1, x2 in zip(xs, xs[1:])), (b, step)
 
-    def test_kernel_evaluations_per_quantile(self, monkeypatch):
+    def test_kernel_evaluations_per_quantile(self, count_calls):
         # Work bound on the quantile's solve at (1/2, b), counted in
         # incomplete-beta evaluations, over both tails. The extra point took
         # 54 evaluations as a solve at (b, b).
         from ghl3 import special
 
-        raw = special._reg_inc_beta_raw
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return raw(*args)
-
-        monkeypatch.setattr(special, "_reg_inc_beta_raw", counting)
+        calls = count_calls("_reg_inc_beta_raw", special)
         ps = [1e-12 * 5e11 ** (k / 11) for k in range(12)]
         ps += [1.0 - 1e-9 * 5e8 ** (k / 11) for k in range(12)]
         points = [(1e-3 * 10 ** (k / 4), p) for k in range(25) for p in ps]
@@ -1006,20 +991,13 @@ class TestQuantilesAndMode:
         assert sum(counts) / len(counts) <= 2.5
         assert max(counts) <= 8
 
-    def test_body_quantiles_take_one_or_two_evaluations(self, monkeypatch):
+    def test_body_quantiles_take_one_or_two_evaluations(self, count_calls):
         # A trusted Halley step below 1e-5 of min(u, 1 - u) ends the solve
         # without another evaluation, and from b = 2 Hill's t-quantile seed
         # lies that close: most solves take one evaluation.
         from ghl3 import special
 
-        raw = special._reg_inc_beta_raw
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return raw(*args)
-
-        monkeypatch.setattr(special, "_reg_inc_beta_raw", counting)
+        calls = count_calls("_reg_inc_beta_raw", special)
         counts = []
         from_two = []
         for i in range(17):

@@ -249,19 +249,11 @@ class TestRankCdf:
             assert cdf_rth(d, OrderIndex(r, n), x) == want, (d.b, r, n, x)
 
     @pytest.mark.parametrize("r, n", [(500, 1000), (1, 10000)])
-    def test_log_gamma_calls_do_not_grow_with_n(self, monkeypatch, r, n):
+    def test_log_gamma_calls_do_not_grow_with_n(self, count_calls, r, n):
         # One incomplete beta for the rank, whose log_beta makes the only
         # three log_gamma calls; the survival makes none, as _pair reads the
         # cached ln B(1/2, b). The binomial sum made 3 per term.
-        calls = []
-        original = special.log_gamma
-
-        def counting(a):
-            calls.append(a)
-            return original(a)
-
-        monkeypatch.setattr(special, "log_gamma", counting)
-        monkeypatch.setattr(order_statistics, "log_gamma", counting)
+        calls = count_calls("log_gamma", special, order_statistics)
         d = GeneralizedHalfLogistic(2.0)
         for x in (0.3, d.median(), 4.0):
             calls.clear()
@@ -273,17 +265,10 @@ class TestRankCdf:
         _, worst_cdf = rank_worst_errors()
         assert worst_cdf <= 1e-11
 
-    def test_one_kernel_call_per_evaluation(self, monkeypatch):
+    def test_one_kernel_call_per_evaluation(self, count_calls):
         # The kernel's own symmetry switch picks the side; cdf_rth never
         # restates it with a second route.
-        calls = []
-        original = order_statistics.reg_inc_beta
-
-        def counting(a, b, u):
-            calls.append((a, b, u))
-            return original(a, b, u)
-
-        monkeypatch.setattr(order_statistics, "reg_inc_beta", counting)
+        calls = count_calls("reg_inc_beta", order_statistics)
         d = GeneralizedHalfLogistic(2.0)
         for r, n in [(1, 5), (3, 5), (5, 5), (500, 1000)]:
             for x in (0.0, 0.05, d.median(), 4.0, 30.0):

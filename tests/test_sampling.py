@@ -152,7 +152,7 @@ class TestSampleOrderStat:
 
     @pytest.mark.parametrize("r, n", [(1, 7), (4, 7), (7, 7), (13, 50)])
     @pytest.mark.parametrize("b", [0.5, 2.0, 100.0])
-    def test_one_quantile_per_batch_matches_sorting_all_draws(self, monkeypatch, b, r, n):
+    def test_one_quantile_per_batch_matches_sorting_all_draws(self, monkeypatch, count_calls, b, r, n):
         d = GeneralizedHalfLogistic(b)
         batches = 4
         for seed in (0, 31337, 2**64 - 1):
@@ -160,14 +160,7 @@ class TestSampleOrderStat:
             probe = RngStream(seed=seed, counter=5)
             want = [sorted(d.quantile(probe.next_uniform()) for _ in range(n))[r - 1]
                     for _ in range(batches)]
-            calls = []
-            original = GeneralizedHalfLogistic.quantile
-
-            def counting(self, p):
-                calls.append(p)
-                return original(self, p)
-
-            monkeypatch.setattr(GeneralizedHalfLogistic, "quantile", counting)
+            calls = count_calls("quantile", GeneralizedHalfLogistic)
             stream = RngStream(seed=seed, counter=5)
             got = sample_order_stat(d, OrderIndex(r, n), stream, batches)
             monkeypatch.undo()

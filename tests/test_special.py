@@ -305,18 +305,11 @@ class TestInverse:
             seed = special._inverse_seed(b, b, q, log_beta(b, b))
             assert abs(seed - sp.betaincinv(b, b, q)) <= 0.1 * sd, q
 
-    def test_kernel_evaluations_per_inverse(self, monkeypatch):
+    def test_kernel_evaluations_per_inverse(self, count_calls):
         # Work bound on the quantile's inverse, q = (1 + p)/2, counted in
         # incomplete-beta evaluations. Shapes below 1 stop at p = 0.999,
         # short of the u -> 1 corner where 1 - u underflows.
-        raw = special._reg_inc_beta_raw
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return raw(*args)
-
-        monkeypatch.setattr(special, "_reg_inc_beta_raw", counting)
+        calls = count_calls("_reg_inc_beta_raw", special)
         counts = []
         for k in range(12):
             b = 0.5 * 2000.0 ** (k / 11)
@@ -343,20 +336,13 @@ class TestInverse:
             u = inv_reg_inc_beta(0.001, 1000.0, q)
             assert abs(mp.betainc(0.001, 1000.0, 0, u, regularized=True) - q) <= 1e-15
 
-    def test_far_lower_tail_relative_residual(self, monkeypatch):
+    def test_far_lower_tail_relative_residual(self, count_calls):
         # q far below the absolute tolerance: the residual is held relative
         # to q, and from a seed far above the root the step on ln I_u reaches
         # it in a few evaluations where the step on I_u - q crawls.
         import mpmath as mp
 
-        raw = special._reg_inc_beta_raw
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return raw(*args)
-
-        monkeypatch.setattr(special, "_reg_inc_beta_raw", counting)
+        calls = count_calls("_reg_inc_beta_raw", special)
         for a, b, q in [(300.0, 300.0, 1e-255), (468.25, 179.14, 2.5e-300),
                         (15.6, 2.28, 8.7e-299), (2.0, 5.0, 1e-200), (1000.0, 1000.0, 1e-100)]:
             calls.clear()
@@ -425,18 +411,11 @@ class TestInverse:
                         if w >= 1e-12:
                             assert abs(got - w) <= 2.0**-53 + 1e-12 * w, (a, b, k)
 
-    def test_underflowing_root_returns_zero_without_kernel_calls(self, monkeypatch):
+    def test_underflowing_root_returns_zero_without_kernel_calls(self, count_calls):
         # The lower power law puts these roots below half the smallest
         # subnormal, which bisection would reach in 79 evaluations; a root
         # inside the subnormal range is still solved.
-        raw = special._reg_inc_beta_raw
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return raw(*args)
-
-        monkeypatch.setattr(special, "_reg_inc_beta_raw", counting)
+        calls = count_calls("_reg_inc_beta_raw", special)
         for a, b, q in [(0.0064, 0.0064, 3.3e-224), (0.5, 2.0, 1e-200)]:
             calls.clear()
             assert inv_reg_inc_beta(a, b, q) == 0.0
@@ -454,18 +433,11 @@ class TestInverse:
         assert nearest == 1e-323
         assert inv_reg_inc_beta(0.5, 1000.0, 1e-160) == nearest
 
-    def test_subnormal_roots_take_few_evaluations(self, monkeypatch):
+    def test_subnormal_roots_take_few_evaluations(self, count_calls):
         # Seeded from the unclamped power law, with the step's ratio I/f
         # formed in logs, where the density of a shape below 1 overflows.
         # Bisecting down from a seed clamped at 1e-300 took up to 79.
-        raw = special._reg_inc_beta_raw
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return raw(*args)
-
-        monkeypatch.setattr(special, "_reg_inc_beta_raw", counting)
+        calls = count_calls("_reg_inc_beta_raw", special)
         rng = random.Random(20261018)
         counts = []
         for _ in range(20000):
@@ -480,19 +452,12 @@ class TestInverse:
         inv_reg_inc_beta(0.01795, 0.01402, 8.84e-7)
         assert len(calls) <= 8
 
-    def test_slow_solve_converges(self, monkeypatch):
+    def test_slow_solve_converges(self, count_calls):
         # Tiny shapes with the root far from the seed, where the guarded
         # steps need over 100 evaluations: the solve still ends accurate.
         import mpmath as mp
 
-        raw = special._reg_inc_beta_raw
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return raw(*args)
-
-        monkeypatch.setattr(special, "_reg_inc_beta_raw", counting)
+        calls = count_calls("_reg_inc_beta_raw", special)
         a, b, q = 0.007568994244746794, 0.182811910241098, 0.9598158834829645
         u = inv_reg_inc_beta(a, b, q)
         with mp.workdps(30):

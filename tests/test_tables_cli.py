@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 from ghl3 import GeneralizedHalfLogistic
-from ghl3.cli import _build_parser, _parse_b_list, main
+from ghl3.cli import _EVAL_FLAGS, _build_parser, _parse_b_list, main
 from ghl3.tables import (
     Table,
     TableSpec,
@@ -187,9 +187,17 @@ class TestCli:
         assert main(["eval", "ordstat-pdf", "--b", "2", "--x", "0", "--r", "1", "--n", "3"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(2.25, rel=1e-9)
 
-    def test_eval_missing_extra_is_usage_error(self, capsys):
-        assert main(["eval", "quantile", "--b", "2"]) == 2
-        assert "requires --p" in capsys.readouterr().err
+    @pytest.mark.parametrize("fn, flag", [(fn, flag) for fn, flags in _EVAL_FLAGS.items() for flag in flags])
+    def test_eval_missing_extra_is_usage_error(self, capsys, fn, flag):
+        given = {"x": "0.5", "p": "0.5", "order": "1", "r": "2", "n": "3"}
+        argv = ["eval", fn, "--b", "2"]
+        for other in _EVAL_FLAGS[fn]:
+            if other != flag:
+                argv += [f"--{other}", given[other]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"requires --{flag}" in err
+        assert err == f"error: eval {fn} requires --{flag}\n"
 
     def test_eval_domain_error_exit_code(self, capsys):
         assert main(["eval", "cdf", "--b", "2", "--x", "-1"]) == 2
