@@ -1,52 +1,14 @@
 """Generalized half logistic distribution (type III): density, cdf,
 quantiles, moments, order statistics, and reproducible sampling."""
 
-from .distribution import (
-    GeneralizedHalfLogistic,
-    SummaryStats,
-    half_logistic_cdf,
-    half_logistic_pdf,
-    half_logistic_survival,
-    logistic_sigma,
-    type3_logistic_pdf,
-)
-from .order_statistics import OrderIndex, cdf_rth, pdf_max, pdf_min, pdf_rth
-from .quadrature import (
-    ConvergenceError,
-    QuadResult,
-    Tolerance,
-    integrate_finite,
-    integrate_semi_infinite,
-)
-from .sampling import RngStream, sample, sample_order_stat
-from .special import inv_reg_inc_beta, log_beta, log_gamma, reg_inc_beta
+from . import distribution, order_statistics, quadrature, sampling, special
+from .distribution import *  # noqa: F403
+from .order_statistics import *  # noqa: F403
+from .quadrature import *  # noqa: F403
+from .sampling import *  # noqa: F403
+from .special import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GeneralizedHalfLogistic",
-    "SummaryStats",
-    "half_logistic_pdf",
-    "half_logistic_cdf",
-    "half_logistic_survival",
-    "type3_logistic_pdf",
-    "logistic_sigma",
-    "OrderIndex",
-    "pdf_rth",
-    "pdf_max",
-    "pdf_min",
-    "cdf_rth",
-    "Tolerance",
-    "QuadResult",
-    "ConvergenceError",
-    "integrate_finite",
-    "integrate_semi_infinite",
-    "RngStream",
-    "sample",
-    "sample_order_stat",
-    "log_gamma",
-    "log_beta",
-    "reg_inc_beta",
-    "inv_reg_inc_beta",
-    "__version__",
-]
+__all__ = [*distribution.__all__, *order_statistics.__all__, *quadrature.__all__,
+           *sampling.__all__, *special.__all__, "__version__"]

@@ -185,6 +185,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NO_CONVERGENCE if isinstance(exc, ConvergenceError) else _EXIT_USAGE
 
-
-if __name__ == "__main__":
-    sys.exit(main())

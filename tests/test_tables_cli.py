@@ -3,7 +3,10 @@
 import csv
 import io
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -380,8 +383,132 @@ class TestGoldenFiles:
             (["table", "cdf"], "cdf_default.csv"),
             (["table", "moments"], "moments_default.csv"),
             (["table", "median"], "median_default.csv"),
+            # No integral reaches the cdf and median tables, so the tolerance
+            # flags leave them as they are.
+            (["table", "cdf", "--tol-abs", "1e-3", "--tol-rel", "1e-3"], "cdf_default.csv"),
+            (["table", "median", "--tol-abs", "1e-3", "--tol-rel", "1e-3"], "median_default.csv"),
         ],
     )
     def test_byte_identical(self, capsys, args, name):
         assert main(args) == 0
         assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def _pin(command, *lines):
+    return pytest.param(command.split(), "".join(f"{line}\n" for line in lines), id=command)
+
+
+class TestPinnedOutputs:
+    """CLI outputs pinned byte for byte beyond the golden files; CI adds only
+    a smoke run of the installed entry points."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # Both sides of the survival kernel's switch, the hazard past
+            # x ~ 745, the quantile's linear lower tail, three quantiles solved
+            # in one kernel evaluation from Hill's t-quantile seed, the cdf
+            # near the origin (no digits cancelled) and at b = 1000, two
+            # moments whose heads start from the graded panels, the density
+            # at both ends of the shape domain, a survival at b = 1e-10
+            # whose continued fraction settles one ulp below 1, an order
+            # statistic whose F is a few ulps, one at b = 1e-300 where S is
+            # clamped to 1, a mean whose head ends past 6e307, the quantile's
+            # linear tail where B(1/2, b) overflows, a quantile and a cdf
+            # either side of log_beta's series switch at b = 20, a fourth
+            # moment near the top of the double range (x**4 alone overflows in
+            # its tail) and the linear tail at b <= 1 (50-digit mpmath).
+            _pin("eval survival --b 1000 --x 0.01", "0.8230853858"),
+            _pin("eval survival --b 1000 --x 1", "1.801724132e-106"),
+            _pin("eval hazard --b 0.001 --x 800", "0.001"),
+            _pin("eval quantile --b 2 --p 1e-200", "1.333333333e-200"),
+            _pin("eval quantile --b 200 --p 0.3", "0.03855733003"),
+            _pin("eval quantile --b 40 --p 0.999", "0.7464644649"),
+            _pin("eval quantile --b 5 --p 0.9", "1.09133152"),
+            _pin("eval cdf --b 0.001 --x 1e-12", "9.986163064e-16"),
+            _pin("eval cdf --b 1000 --x 0.05", "0.7363629719"),
+            _pin("eval moment --b 0.001 --order 1", "1000.001641"),
+            _pin("eval moment --b 1000 --order 4", "1.201601301e-05"),
+            _pin("eval pdf --b 2 --x 1", "0.4638750275"),
+            _pin("eval pdf --b 1000 --x 0.01", "17.3985662"),
+            _pin("eval pdf --b 0.001 --x 700", "0.0004965861195"),
+            _pin("eval survival --b 1e-10 --x 13.8", "0.9999999986"),
+            _pin("eval ordstat-pdf --b 0.0018 --x 1e-12 --r 10 --n 10", "3.482659829e-135"),
+            _pin("eval ordstat-pdf --b 1e-300 --x 5 --r 2 --n 3", "0"),
+            _pin("eval moment --b 1e-306 --order 1", "1e+306"),
+            _pin("eval quantile --b 5e-324 --p 0", "0"),
+            _pin("eval quantile --b 19.999 --p 0.5", "0.2148396809"),
+            _pin("eval cdf --b 20 --x 0.3", "0.6533081809"),
+            _pin("eval moment --b 1e-75 --order 4", "2.4e+301"),
+            _pin("eval quantile --b 0.001 --p 1e-20", "1.001385611e-17"),
+            # Survival and hazard either side of the (1/2, b) continued
+            # fraction's switch at b = 1000, x_switch = 0.0774016... (50-digit
+            # mpmath).
+            _pin("eval survival --b 1000 --x 0.0773", "0.08397935811"),
+            _pin("eval survival --b 1000 --x 0.0774", "0.08357947375"),
+            _pin("eval hazard --b 1000 --x 0.0773", "47.70905505"),
+            _pin("eval hazard --b 1000 --x 0.0774", "47.75237059"),
+            # The quantile's far upper tail, where the solve steps on
+            # ln(1 - I_u) against 1 - p (50-digit mpmath).
+            _pin("eval quantile --b 10 --p 0.99999999999", "3.701207947"),
+            _pin("eval quantile --b 10 --p 0.9999999999999", "4.178373694"),
+            # The density s^b / B(1/2, b) from ln s = ln sech^2(x/2): f(0) at
+            # b = 1000 and a point at b = 886.6 on the log1p(-tanh^2(x/2))
+            # side, where b*(x + 2*log1p(e^-x)) would cancel terms near
+            # 2b ln 2, and the far side at b = 1e-4, where s underflows
+            # (50-digit mpmath).
+            _pin("eval pdf --b 1000 --x 0", "17.83901115"),
+            _pin("eval pdf --b 886.6 --x 9.9e-5", "16.79680782"),
+            _pin("eval pdf --b 1e-4 --x 3000", "7.408182329e-05"),
+            # The moments pass at both ends of the shape domain, and the even
+            # orders' cumulant recursion past order 4 (expected values from
+            # 30-digit mpmath: quadrature for the odd orders, the logit
+            # cumulants 2*psi^(2j-1)(b) for the even ones).
+            _pin("table moments --b 0.001 --n-max 2 --precision 2",
+                 "b,E[X],E[X^2]", "0.001,1000.00,2000003.29"),
+            _pin("table moments --b 1000 --precision 10",
+                 "b,E[X],E[X^2],E[X^3],E[X^4]",
+                 "1000,0.0356899173,0.0020010003,0.0001428549,0.0000120160"),
+            _pin("table moments --b 2 --n-max 8 --precision 8",
+                 "b,E[X],E[X^2],E[X^3],E[X^4],E[X^5],E[X^6],E[X^7],E[X^8]",
+                 "2,0.88629436,1.28986813,2.50074596,5.97915821,16.93850234,55.46629699,206.37841872,861.38926717"),
+            # The moments pass reads the tolerance flags for the odd orders
+            # (the default tolerance gives E[X] = 100.0160377105), and
+            # E[X^2] = 2*psi'(b) is closed form at any.
+            _pin("table moments --b 0.01 --n-max 2 --precision 10 --tol-abs 1e-3 --tol-rel 1e-3",
+                 "b,E[X],E[X^2]", "0.01,100.0160385509,20003.2424270566"),
+            # Seeded draws, bit for bit: the stream's (seed, i) mapping and mix,
+            # and the quantile behind them, including the power-law seed path at
+            # b = 0.7 and the 64-bit top of the seed range.
+            _pin("sample --b 3 --count 3 --seed 1",
+                 "0.67257369737231931", "0.98861415031954381", "1.9873720623876898"),
+            _pin("sample --b 0.7 --count 3 --seed 7",
+                 "1.0368925272909721", "0.042072377748641483", "3.866784477744496"),
+            _pin("sample --b 500 --count 2 --seed 18446744073709551615",
+                 "0.10226352590260916", "0.10815645866565342"),
+        ],
+    )
+    def test_output(self, capsys, argv, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        ("eval pdf --b 1 --x 0", 0, "0.5\n", ""),
+        ("eval quantile --b 2", 2, "", "error: eval quantile requires --p\n"),
+        ("eval moment --b 5e-324 --order 1", 3, "",
+         "error: head [0.0, inf] beyond the double range (best estimate 0.0 +- inf)\n"),
+    ],
+    ids=["exit-0", "exit-2", "exit-3"],
+)
+def test_module_entry_point(argv, code, out, err):
+    # python -m ghl3 runs __main__.py, which exits with main()'s code.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "ghl3", *argv.split()], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
