@@ -198,16 +198,16 @@ def _adaptive(f: Callable[[float], float], orders: Sequence[int], edges: Sequenc
     abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
     new, heap, scale, splits = spans, [], None, 0
     while True:
+        evaluations = 15 * (len(spans) + 2 * splits)
         for v, e in totals:
             if e > abs_tol and e > rel_tol * abs(v):
                 break
         else:
-            return totals, 15 * (len(spans) + 2 * splits)
+            return totals, evaluations
         if scale is None:  # the heap fills only once the starting panels fall short
             scale, tick = [max(abs_tol, rel_tol * abs(v)) for v, _ in totals], count()
         for lo, hi, pairs in new:
             heappush(heap, (-max(map(truediv, map(_err, pairs), scale)), next(tick), lo, hi, pairs))
-        evaluations = 15 * (len(spans) + 2 * splits)
         if splits == _MAX_SUBDIVISIONS:
             raise ConvergenceError(
                 f"no convergence after {splits} subdivisions on [{edges[0]!r}, {edges[-1]!r}]",

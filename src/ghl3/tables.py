@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .distribution import GeneralizedHalfLogistic, _check_whole
 from .quadrature import Tolerance
@@ -66,7 +66,7 @@ class TableSpec:
 @dataclass(frozen=True)
 class Table:
     columns: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...] = field(default_factory=tuple)
+    rows: tuple[tuple[str, ...], ...]
 
 
 def format_fixed(value: float, precision: int) -> str:

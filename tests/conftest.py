@@ -1,8 +1,14 @@
 """Shared test helpers."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 # The both-tails mpmath sweeps: 13 log-spaced b in [1e-3, 1e3] and 24
 # log-spaced x in [1e-12, 2e3].
@@ -22,6 +28,14 @@ def ks_distance(samples, cdf):
         f = cdf(x)
         d = max(d, f - i / n, (i + 1) / n - f)
     return d
+
+
+def run_python(*args):
+    """Run this interpreter with args and src first on PYTHONPATH, so that it
+    imports this checkout's ghl3; the CompletedProcess, output as text."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
 
 
 def mp_pair(b, x):

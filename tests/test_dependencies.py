@@ -1,12 +1,7 @@
 """The runtime keeps zero dependencies: importing ghl3 and its CLI pulls in
 nothing outside the standard library."""
 
-import os
-import pathlib
-import subprocess
-import sys
-
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+from conftest import run_python
 
 PROBE = """\
 import sys
@@ -18,7 +13,6 @@ print(sorted(new - set(sys.stdlib_module_names) - {"ghl3"}))
 
 
 def test_runtime_imports_only_the_standard_library():
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", PROBE], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, timeout=60, check=True)
+    out = run_python("-c", PROBE)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

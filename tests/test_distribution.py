@@ -198,17 +198,28 @@ class TestDensity:
         assert d.log_pdf(1e308) == -math.inf
         assert d.pdf(1e308) == 0.0
 
-    def test_relative_accuracy_against_mpmath(self):
-        # 25 log-spaced b in [1e-3, 1e3] x 40 log-spaced x in [1e-12, 700],
-        # where the density is a normal double. ln f = b ln s - ln B(1/2, b)
-        # is good to a few ulps of max(1, |ln f|), and exp carries that into
-        # f as relative error: about 1.3e-13 at worst, where |ln f| nears 700.
+    @pytest.mark.parametrize(
+        "shapes, bound",
+        [
+            # 25 log-spaced b in [1e-3, 1e3] x 40 log-spaced x in [1e-12, 700],
+            # where the density is a normal double. ln f = b ln s - ln B(1/2, b)
+            # is good to a few ulps of max(1, |ln f|), and exp carries that into
+            # f as relative error: about 1.3e-13 at worst, where |ln f| nears 700.
+            pytest.param([10.0 ** (-3 + i / 4) for i in range(25)], 3e-12, id="all-shapes"),
+            # At 11 b in [300, 1e3], ln B(1/2, b) comes from the gamma-ratio
+            # series, not from ln Gamma terms in the thousands, and
+            # ln s = log1p(-tanh^2(x/2)) near the origin, so b ln s cancels
+            # nothing. What is left is the rounding of ln f carried through exp,
+            # about 1.3e-13 at worst on this grid.
+            pytest.param([300.0 * (1e3 / 300.0) ** (i / 10) for i in range(11)], 5e-13, id="large-shapes"),
+        ],
+    )
+    def test_relative_accuracy_against_mpmath(self, shapes, bound):
         import mpmath as mp
 
         worst = 0.0
         with mp.workdps(30):
-            for i in range(25):
-                b = 10.0 ** (-3 + i / 4)
+            for b in shapes:
                 d = GeneralizedHalfLogistic(b)
                 log_norm = mp.log(2) - mp.log(mp.beta(b, b))
                 for j in range(40):
@@ -216,27 +227,7 @@ class TestDensity:
                     ref = mp.exp(log_norm - b * x - 2 * b * mp.log1p(mp.exp(-x)))
                     if ref >= 1e-300:
                         worst = max(worst, abs(d.pdf(float(x)) - ref) / ref)
-        assert worst <= 3e-12
-
-    def test_large_shape_relative_accuracy_against_mpmath(self):
-        # ln B(1/2, b) comes from the gamma-ratio series, not from ln Gamma
-        # terms in the thousands, and ln s = log1p(-tanh^2(x/2)) near the
-        # origin, so b ln s cancels nothing. What is left is the rounding of
-        # ln f carried through exp, about 1.3e-13 at worst on this grid.
-        import mpmath as mp
-
-        worst = 0.0
-        with mp.workdps(30):
-            for i in range(11):
-                b = 300.0 * (1e3 / 300.0) ** (i / 10)
-                d = GeneralizedHalfLogistic(b)
-                log_norm = mp.log(2) - mp.log(mp.beta(b, b))
-                for j in range(40):
-                    x = mp.mpf(10.0 ** (-12 + (math.log10(700.0) + 12) * j / 39))
-                    ref = mp.exp(log_norm - b * x - 2 * b * mp.log1p(mp.exp(-x)))
-                    if ref >= 1e-300:
-                        worst = max(worst, abs(d.pdf(float(x)) - ref) / ref)
-        assert worst <= 5e-13
+        assert worst <= bound
 
     def test_density_and_log_density_on_a_random_grid_against_mpmath(self):
         # 3000 seeded (b, x), b log-uniform in [1e-3, 1e3] and x in

@@ -3,10 +3,7 @@
 import csv
 import io
 import math
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -23,6 +20,8 @@ from ghl3.tables import (
     render_csv,
     render_markdown,
 )
+
+from conftest import run_python
 
 
 def _cells(table, b_label, row_label):
@@ -157,31 +156,6 @@ class TestRenderers:
 
 
 class TestCli:
-    def test_eval_cdf(self, capsys):
-        assert main(["eval", "cdf", "--b", "2", "--x", "1.0"]) == 0
-        out = capsys.readouterr().out
-        d = GeneralizedHalfLogistic(2.0)
-        assert out == f"{d.cdf(1.0):.10g}\n"
-        assert out.strip() == "0.6438326526"
-
-    def test_eval_pdf_trivial(self, capsys):
-        assert main(["eval", "pdf", "--b", "1", "--x", "0"]) == 0
-        assert capsys.readouterr().out.strip() == "0.5"
-
-    def test_eval_pdf_far_tail_is_zero(self, capsys):
-        assert main(["eval", "pdf", "--b", "1000", "--x", "1e308"]) == 0
-        assert capsys.readouterr().out.strip() == "0"
-
-    def test_eval_hazard_far_tail(self, capsys):
-        assert main(["eval", "hazard", "--b", "1", "--x", "760"]) == 0
-        assert capsys.readouterr().out == "1\n"
-
-    def test_eval_quantile(self, capsys):
-        assert main(["eval", "quantile", "--b", "2", "--p", "0.5"]) == 0
-        out = capsys.readouterr().out.strip()
-        assert out == f"{GeneralizedHalfLogistic(2.0).median():.10g}"
-        assert out.startswith("0.724731974")
-
     def test_eval_moment(self, capsys):
         assert main(["eval", "moment", "--b", "1", "--order", "2"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(math.pi**2 / 3, abs=1e-8)
@@ -189,58 +163,6 @@ class TestCli:
     def test_eval_ordstat(self, capsys):
         assert main(["eval", "ordstat-pdf", "--b", "2", "--x", "0", "--r", "1", "--n", "3"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(2.25, rel=1e-9)
-
-    @pytest.mark.parametrize("fn, flag", [(fn, flag) for fn, flags in _EVAL_FLAGS.items() for flag in flags])
-    def test_eval_missing_extra_is_usage_error(self, capsys, fn, flag):
-        given = {"x": "0.5", "p": "0.5", "order": "1", "r": "2", "n": "3"}
-        argv = ["eval", fn, "--b", "2"]
-        for other in _EVAL_FLAGS[fn]:
-            if other != flag:
-                argv += [f"--{other}", given[other]]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"requires --{flag}" in err
-        assert err == f"error: eval {fn} requires --{flag}\n"
-
-    def test_eval_domain_error_exit_code(self, capsys):
-        assert main(["eval", "cdf", "--b", "2", "--x", "-1"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_unknown_function_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["eval", "nope", "--b", "2", "--x", "1"])
-        assert excinfo.value.code == 2
-
-    def test_non_convergence_exit_code(self, capsys):
-        rc = main(["eval", "moment", "--b", "0.5", "--order", "4",
-                   "--tol-abs", "1e-300", "--tol-rel", "1e-300"])
-        assert rc == 3
-        assert "error:" in capsys.readouterr().err
-
-    def test_head_beyond_the_double_range_exit_code(self, capsys):
-        # 60/b overflows at b = 5e-324: a typed non-convergence, not a usage error.
-        assert main(["eval", "moment", "--b", "5e-324", "--order", "1"]) == 3
-        assert "beyond the double range" in capsys.readouterr().err
-
-    def test_tail_block_beyond_the_double_range_exit_code(self, capsys):
-        # The head [0, 1.5e308] is sampled, but its first tail block ends past
-        # the double range: a typed non-convergence, not a usage error.
-        assert main(["eval", "moment", "--b", "4e-307", "--order", "1"]) == 3
-        assert "beyond the double range" in capsys.readouterr().err
-
-    def test_moment_overflow_is_one_error_line(self, capsys):
-        # f(x) * x^2 overflows inside the integrand at b = 1e-300: a domain
-        # error reported on one line, not a traceback.
-        assert main(["eval", "moment", "--b", "1e-300", "--order", "2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
-
-    def test_eval_ordstat_at_a_tiny_shape(self, capsys):
-        # S rounds above 1 at b = 1e-300 unless clamped, and log(1 - S) raised.
-        assert main(["eval", "ordstat-pdf", "--b", "1e-300", "--x", "5", "--r", "2", "--n", "3"]) == 0
-        assert capsys.readouterr().out == "0\n"
 
     def test_table_default_cdf(self, capsys):
         assert main(["table", "cdf"]) == 0
@@ -279,42 +201,10 @@ class TestCli:
         assert [r[0] for r in rows[1:]] == ["2"] * 6 + ["3"] * 6
         assert all(len(cell.split(".")[1]) == 6 for r in rows[1:] for cell in r[2:])
 
-    def test_table_median_single_b_keeps_stock_precision(self, capsys):
-        assert main(["table", "median", "--b", "2"]) == 0
-        assert capsys.readouterr().out == "b,median\n2,0.72473\n"
-
-    @pytest.mark.parametrize("step", ["0", "-0.1"])
-    def test_table_non_positive_step_is_usage_error(self, capsys, step):
-        assert main(["table", "cdf", "--step", step]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
-
     def test_table_b_list_moments(self, capsys):
         assert main(["table", "moments", "--b-list", "1..3"]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert [r[0] for r in rows[1:]] == ["1", "2", "3"]
-
-    def test_table_median_markdown(self, capsys):
-        assert main(["table", "median", "--format", "md"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("|")
-        assert "1.09861" in out
-
-    def test_table_conflicting_b_flags(self, capsys):
-        assert main(["table", "median", "--b", "2", "--b-list", "1..3"]) == 2
-
-    def test_bad_b_list_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["table", "moments", "--b-list", "3"])
-        assert excinfo.value.code == 2
-
-    @pytest.mark.parametrize("text, message", [("a..3", "numeric bounds"), ("3..1", "empty range")])
-    def test_malformed_b_list_is_usage_error(self, text, message, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["table", "moments", "--b-list", text])
-        assert excinfo.value.code == 2
-        assert message in capsys.readouterr().err
 
     def test_parser_is_built_once(self):
         assert _build_parser() is _build_parser()
@@ -331,19 +221,6 @@ class TestCli:
         values = _parse_b_list("0.33..999.33")
         assert values == tuple(0.33 + k for k in range(1000))
 
-    @pytest.mark.parametrize("text", ["1..inf", "-inf..3", "nan..3"])
-    def test_non_finite_b_list_is_usage_error(self, text):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["table", "moments", "--b-list", text])
-        assert excinfo.value.code == 2
-
-    @pytest.mark.parametrize("text", ["1..1e300", "999..1001", "0..3", "-2..5"])
-    def test_b_list_outside_the_shape_domain_is_usage_error(self, text):
-        # Rejected by the parser before a single shape is built.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["table", "moments", "--b-list", text])
-        assert excinfo.value.code == 2
-
     def test_sample_deterministic(self, capsys):
         assert main(["sample", "--b", "2", "--count", "3", "--seed", "7"]) == 0
         first = capsys.readouterr().out
@@ -359,52 +236,58 @@ class TestCli:
         line = capsys.readouterr().out.strip()
         assert line == f"{float(line):.17g}"
 
-    def test_sample_count_required(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sample", "--b", "2"])
-        assert excinfo.value.code == 2
-
-    def test_sample_takes_no_tolerance_flags(self):
-        # Sampling integrates nothing, so sample has no quadrature tolerance.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sample", "--b", "2", "--count", "1", "--tol-abs", "1e-3"])
-        assert excinfo.value.code == 2
-
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-class TestGoldenFiles:
-    """CLI output is diffed byte-for-byte against committed golden files."""
-
-    @pytest.mark.parametrize(
-        "args, name",
-        [
-            (["table", "cdf"], "cdf_default.csv"),
-            (["table", "moments"], "moments_default.csv"),
-            (["table", "median"], "median_default.csv"),
-            # No integral reaches the cdf and median tables, so the tolerance
-            # flags leave them as they are.
-            (["table", "cdf", "--tol-abs", "1e-3", "--tol-rel", "1e-3"], "cdf_default.csv"),
-            (["table", "median", "--tol-abs", "1e-3", "--tol-rel", "1e-3"], "median_default.csv"),
-        ],
-    )
-    def test_byte_identical(self, capsys, args, name):
-        assert main(args) == 0
-        assert capsys.readouterr().out == (GOLDEN / name).read_text()
+def _row(command, *expected):
+    return pytest.param(command.split(), *expected, id=command)
 
 
 def _pin(command, *lines):
-    return pytest.param(command.split(), "".join(f"{line}\n" for line in lines), id=command)
+    return _row(command, "".join(f"{line}\n" for line in lines))
+
+
+def _golden(command, name):
+    return _row(command, (GOLDEN / name).read_text())
+
+
+def _missing_flag_rows():
+    """Each eval function run without one of the flags it reads, the others given."""
+    given = {"x": "0.5", "p": "0.5", "order": "1", "r": "2", "n": "3"}
+    for fn, flags in _EVAL_FLAGS.items():
+        for flag in flags:
+            others = "".join(f" --{other} {given[other]}" for other in flags if other != flag)
+            yield _row(f"eval {fn} --b 2{others}", 2, f"error: eval {fn} requires --{flag}\n")
 
 
 class TestPinnedOutputs:
-    """CLI outputs pinned byte for byte beyond the golden files; CI adds only
-    a smoke run of the installed entry points."""
+    """The CLI contract, one table per exit path of main: exit 0 with stdout
+    byte for byte (the golden files included), main's one error line with
+    exit 2 or 3, and argparse's usage exit 2. CI adds only a smoke run of the
+    installed entry points."""
 
     @pytest.mark.parametrize(
         "argv, expected",
         [
+            _golden("table cdf", "cdf_default.csv"),
+            _golden("table moments", "moments_default.csv"),
+            _golden("table median", "median_default.csv"),
+            # No integral reaches the cdf and median tables, so the tolerance
+            # flags leave them as they are.
+            _golden("table cdf --tol-abs 1e-3 --tol-rel 1e-3", "cdf_default.csv"),
+            _golden("table median --tol-abs 1e-3 --tol-rel 1e-3", "median_default.csv"),
+            # The stock cdf table's two grids are two markdown tables joined
+            # by a blank line.
+            _golden("table cdf --format md", "cdf_default.md"),
+            _golden("table moments --format md", "moments_default.md"),
+            _golden("table median --format md", "median_default.md"),
+            _pin("table median --b 2", "b,median", "2,0.72473"),
+            _pin("eval cdf --b 2 --x 1.0", "0.6438326526"),
+            _pin("eval pdf --b 1 --x 0", "0.5"),
+            _pin("eval pdf --b 1000 --x 1e308", "0"),
+            _pin("eval hazard --b 1 --x 760", "1"),
+            _pin("eval quantile --b 2 --p 0.5", "0.724731974"),
             # Both sides of the survival kernel's switch, the hazard past
             # x ~ 745, the quantile's linear lower tail, three quantiles solved
             # in one kernel evaluation from Hill's t-quantile seed, the cdf
@@ -434,6 +317,7 @@ class TestPinnedOutputs:
             _pin("eval pdf --b 0.001 --x 700", "0.0004965861195"),
             _pin("eval survival --b 1e-10 --x 13.8", "0.9999999986"),
             _pin("eval ordstat-pdf --b 0.0018 --x 1e-12 --r 10 --n 10", "3.482659829e-135"),
+            # S rounds above 1 at b = 1e-300 unless clamped, and log(1 - S) raised.
             _pin("eval ordstat-pdf --b 1e-300 --x 5 --r 2 --n 3", "0"),
             _pin("eval moment --b 1e-306 --order 1", "1e+306"),
             _pin("eval quantile --b 5e-324 --p 0", "0"),
@@ -492,8 +376,60 @@ class TestPinnedOutputs:
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [
+            *_missing_flag_rows(),
+            _row("eval cdf --b 2 --x -1", 2, "error: cdf is supported on [0, inf), got -1.0\n"),
+            _row("eval moment --b 0.5 --order 4 --tol-abs 1e-300 --tol-rel 1e-300", 3,
+                 "error: no convergence after 200 subdivisions on [0.0, 120.0]"),
+            # 60/b overflows at b = 5e-324: a typed non-convergence, not a usage error.
+            _row("eval moment --b 5e-324 --order 1", 3, "error: head [0.0, inf] beyond the double range"),
+            # The head [0, 1.5e308] is sampled, but its first tail block ends past
+            # the double range: a typed non-convergence, not a usage error.
+            _row("eval moment --b 4e-307 --order 1", 3,
+                 "error: tail block [1.5000000000000002e+308, inf] beyond the double range"),
+            # f(x) * x^2 overflows inside the integrand at b = 1e-300: a domain
+            # error reported on one line, not a traceback.
+            _row("eval moment --b 1e-300 --order 2", 2, "error: integrand returned a non-finite value"),
+            _row("table cdf --step 0", 2, "error: x_step must be finite and positive, got 0.0\n"),
+            _row("table cdf --step -0.1", 2, "error: x_step must be finite and positive, got -0.1\n"),
+            _row("table median --b 2 --b-list 1..3", 2, "error: --b and --b-list are mutually exclusive\n"),
+        ],
+    )
+    def test_error_line(self, capsys, argv, code, line):
+        # A line that ends in a newline is the whole of stderr, else its start.
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), captured.err
+        assert captured.err.startswith(line), captured.err
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            _row("eval nope --b 2 --x 1", ""),
+            _row("table moments --b-list 3", ""),
+            _row("table moments --b-list a..3", "numeric bounds"),
+            _row("table moments --b-list 3..1", "empty range"),
+            _row("table moments --b-list 1..inf", ""),
+            _row("table moments --b-list -inf..3", ""),
+            _row("table moments --b-list nan..3", ""),
+            # Rejected by the parser before a single shape is built.
+            _row("table moments --b-list 1..1e300", ""),
+            _row("table moments --b-list 999..1001", ""),
+            _row("table moments --b-list 0..3", ""),
+            _row("table moments --b-list -2..5", ""),
+            _row("sample --b 2", ""),
+            # Sampling integrates nothing, so sample has no quadrature tolerance.
+            _row("sample --b 2 --count 1 --tol-abs 1e-3", ""),
+        ],
+    )
+    def test_usage_exit(self, capsys, argv, fragment):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert fragment in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -508,7 +444,5 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 )
 def test_module_entry_point(argv, code, out, err):
     # python -m ghl3 runs __main__.py, which exits with main()'s code.
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-m", "ghl3", *argv.split()], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, timeout=60)
+    run = run_python("-m", "ghl3", *argv.split())
     assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
