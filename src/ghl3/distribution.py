@@ -291,7 +291,10 @@ class GeneralizedHalfLogistic:
         ones in closed form. ValueError where a moment or f(x) * x^n leaves the
         double range."""
         n_max = _check_whole(n_max, "highest moment order", 1)
-        odd, _ = _moments_semi_infinite(self.pdf, range(1, n_max + 1, 2), self.tol, self.b)
+        # pdf's expression, so its bits, without its support check: panel nodes lie inside (0, inf).
+        b, log_beta_half = self.b, self._log_beta_half
+        odd, _ = _moments_semi_infinite(lambda x: math.exp(b * _log_s(x) - log_beta_half),
+                                        range(1, n_max + 1, 2), self.tol, b)
         moments = [0.0] * n_max
         moments[::2] = [v for v, _ in odd]
         moments[1::2] = _even_moments(self.b, n_max)

@@ -5,7 +5,8 @@ The r-th of n draws has density
     f_{r:n}(x) = F(x)^(r-1) * (1 - F(x))^(n-r) * f(x) / B(r, n-r+1),
 
 with the maximum (r = n) and minimum (r = 1) as the usual special cases,
-and cdf I_F(x)(r, n-r+1) (David & Nagaraja, Order Statistics, 2.1).
+cdf I_F(x)(r, n-r+1) and survival I_S(x)(n-r+1, r) (David & Nagaraja,
+Order Statistics, 2.1).
 Everything is computed from one pair of the kernel, F, S and ln f at x
 from a single short continued fraction -- never by nesting quadrature
 inside quadrature -- and in log space or through the incomplete beta, so
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from .distribution import GeneralizedHalfLogistic, _check_whole
 from .special import log_gamma, reg_inc_beta
 
-__all__ = ["OrderIndex", "pdf_rth", "pdf_max", "pdf_min", "cdf_rth"]
+__all__ = ["OrderIndex", "pdf_rth", "pdf_max", "pdf_min", "cdf_rth", "sf_rth"]
 
 
 @dataclass(frozen=True)
@@ -75,3 +76,10 @@ def cdf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
     """
     r, n = idx.r, idx.n
     return reg_inc_beta(float(r), n - r + 1.0, d._pair(x, "cdf_rth")[0])
+
+
+def sf_rth(d: GeneralizedHalfLogistic, idx: OrderIndex, x: float) -> float:
+    """P(X_{r:n} > x) = I_S(x)(n-r+1, r), cdf_rth's complement by the symmetry of I,
+    from S with no subtraction, so it keeps its digits where cdf_rth rounds to 1."""
+    r, n = idx.r, idx.n
+    return reg_inc_beta(n - r + 1.0, float(r), d._pair(x, "sf_rth")[1])

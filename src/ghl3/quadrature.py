@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
-from operator import itemgetter, mul, truediv
+from operator import itemgetter, truediv
 from typing import Callable, Sequence
 
 __all__ = [
@@ -154,8 +154,8 @@ def _panel(f: Callable[[float], float], orders: Sequence[int], lo: float, hi: fl
     """One 15-point panel: [(value, err_estimate)] of f(x) * x**n by _qk15 for
     each n in the increasing orders (0 is f itself), from one sample of f per
     node, or None without sampling f when the outer nodes would round onto lo
-    or hi. Each order's column is the last one times the nodes, so it
-    overflows only where the integrand does."""
+    or hi. Each order's column is the last one times the nodes, in place on
+    the value locals, so it overflows only where the integrand does."""
     # Halves first: lo + hi overflows for a panel past about 9e307.
     center = 0.5 * lo + 0.5 * hi
     half = 0.5 * (hi - lo)
@@ -164,18 +164,23 @@ def _panel(f: Callable[[float], float], orders: Sequence[int], lo: float, hi: fl
         return None
     d2, d3, d4, d5, d6, d7 = half * _X2, half * _X3, half * _X4, half * _X5, half * _X6, half * _X7
     # The center, then each pair from the outermost inwards, left first.
-    nodes = c, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = (
+    c, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = (
         center, center - d1, center + d1, center - d2, center + d2, center - d3, center + d3,
         center - d4, center + d4, center - d5, center + d5, center - d6, center + d6,
         center - d7, center + d7)
     # Named calls, not a comprehension or map: the cheaper call from bytecode.
-    column = (f(c), f(l1), f(r1), f(l2), f(r2), f(l3), f(r3), f(l4), f(r4),
-              f(l5), f(r5), f(l6), f(r6), f(l7), f(r7))
+    column = fc, fl1, fr1, fl2, fr2, fl3, fr3, fl4, fr4, fl5, fr5, fl6, fr6, fl7, fr7 = (
+        f(c), f(l1), f(r1), f(l2), f(r2), f(l3), f(r3), f(l4), f(r4),
+        f(l5), f(r5), f(l6), f(r6), f(l7), f(r7))
     panel = [_qk15(lo, hi, *column)] if orders[0] == 0 else []
+    # Straight-line products and positional arguments: no tuple per order.
     for n in range(1, orders[-1] + 1):
-        column = tuple(map(mul, column, nodes))
+        fc, fl1, fr1, fl2, fr2, fl3, fr3, fl4, fr4, fl5, fr5, fl6, fr6, fl7, fr7 = (
+            fc * c, fl1 * l1, fr1 * r1, fl2 * l2, fr2 * r2, fl3 * l3, fr3 * r3, fl4 * l4,
+            fr4 * r4, fl5 * l5, fr5 * r5, fl6 * l6, fr6 * r6, fl7 * l7, fr7 * r7)
         if n in orders:
-            panel.append(_qk15(lo, hi, *column))
+            panel.append(_qk15(lo, hi, fc, fl1, fr1, fl2, fr2, fl3, fr3, fl4, fr4, fl5, fr5,
+                               fl6, fr6, fl7, fr7))
     return panel
 
 

@@ -19,6 +19,7 @@ from ghl3 import (
     QuadResult,
     Tolerance,
     cdf_rth,
+    distribution,
     half_logistic_cdf,
     half_logistic_pdf,
     half_logistic_survival,
@@ -650,11 +651,21 @@ class TestMoments:
     def test_density_evaluations_per_moments_pass(self, count_calls):
         # One pass samples the density once per node for the odd orders (the
         # even ones are closed forms): about 250 evaluations, where four
-        # calls to moment make about 880.
-        calls = count_calls("pdf", GeneralizedHalfLogistic)
+        # calls to moment make about 880. The pass samples pdf's expression,
+        # not pdf, so its one _log_s call per node is what is counted.
+        calls = count_calls("_log_s", distribution)
         for i in range(61):
             GeneralizedHalfLogistic(10.0 ** (-3 + i / 10)).moments(4)
-        assert len(calls) / 61 <= 300
+        assert 150 <= len(calls) / 61 <= 300
+
+    @pytest.mark.parametrize("n_max", [4, 9])
+    def test_pass_density_bit_identical_to_pdf(self, n_max):
+        # moments hands the pass pdf's own expression without its support
+        # check, so each odd order is the pass over pdf itself, bit for bit.
+        for i in range(61):
+            d = GeneralizedHalfLogistic(10.0 ** (-3 + i / 10))
+            odd = quadrature._moments_semi_infinite(d.pdf, range(1, n_max + 1, 2), d.tol, d.b)[0]
+            assert list(d.moments(n_max)[::2]) == [v for v, _ in odd], d.b
 
     def test_moments_agree_with_moment(self):
         for b in [0.01, 1.0, 2.0, 7.5, 300.0]:

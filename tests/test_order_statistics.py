@@ -15,6 +15,7 @@ from ghl3 import (
     pdf_max,
     pdf_min,
     pdf_rth,
+    sf_rth,
 )
 from ghl3 import order_statistics, special
 
@@ -24,13 +25,13 @@ SWEEP_RANKS = [(1, 1), (1, 5), (3, 5), (5, 5), (10, 10), (25, 50), (1, 1000), (5
 
 
 @functools.lru_cache(maxsize=None)
-def rank_worst_errors() -> tuple[float, float]:
-    """Worst relative errors of pdf_rth and cdf_rth against 60-digit mpmath
-    over SWEEP_SHAPES x SWEEP_XS x SWEEP_RANKS, both sides of the kernel's
-    switch, with F and S from mp_pair."""
+def rank_worst_errors() -> tuple[float, float, float]:
+    """Worst relative errors of pdf_rth, cdf_rth and sf_rth against 60-digit
+    mpmath over SWEEP_SHAPES x SWEEP_XS x SWEEP_RANKS, both sides of the
+    kernel's switch, with F and S from mp_pair."""
     import mpmath as mp
 
-    worst_pdf = worst_cdf = 0.0
+    worst_pdf = worst_cdf = worst_sf = 0.0
     with mp.workdps(60):
         for b in SWEEP_SHAPES:
             d = GeneralizedHalfLogistic(b)
@@ -45,7 +46,10 @@ def rank_worst_errors() -> tuple[float, float]:
                     ref = mp.betainc(r, n - r + 1, 0, f, regularized=True)
                     if ref >= 1e-300:
                         worst_cdf = max(worst_cdf, abs(cdf_rth(d, idx, x) - ref) / ref)
-    return float(worst_pdf), float(worst_cdf)
+                    ref = mp.betainc(n - r + 1, r, 0, s, regularized=True)
+                    if ref >= 1e-300:
+                        worst_sf = max(worst_sf, abs(sf_rth(d, idx, x) - ref) / ref)
+    return float(worst_pdf), float(worst_cdf), float(worst_sf)
 
 
 class TestOrderIndex:
@@ -149,7 +153,7 @@ class TestRthDensity:
     def test_both_tails_relative_accuracy_against_mpmath(self):
         # Worst measured 7.5e-12, at b = 1e-3, x = 4.4, r = 25 of 50: there F
         # is the small side but is read as 1 - S, and F^24 spreads its error.
-        worst_pdf, _ = rank_worst_errors()
+        worst_pdf, _, _ = rank_worst_errors()
         assert worst_pdf <= 1e-11
 
 
@@ -262,19 +266,19 @@ class TestRankCdf:
 
     def test_both_tails_relative_accuracy_against_mpmath(self):
         # Worst measured 7.8e-12, at the pdf_rth sweep's worst point.
-        _, worst_cdf = rank_worst_errors()
+        _, worst_cdf, _ = rank_worst_errors()
         assert worst_cdf <= 1e-11
 
     def test_one_kernel_call_per_evaluation(self, count_calls):
-        # The kernel's own symmetry switch picks the side; cdf_rth never
-        # restates it with a second route.
+        # The kernel's own symmetry switch picks the side; neither cdf_rth
+        # nor sf_rth restates it with a second route.
         calls = count_calls("reg_inc_beta", order_statistics)
         d = GeneralizedHalfLogistic(2.0)
-        for r, n in [(1, 5), (3, 5), (5, 5), (500, 1000)]:
+        for fn, (r, n) in itertools.product((cdf_rth, sf_rth), [(1, 5), (3, 5), (5, 5), (500, 1000)]):
             for x in (0.0, 0.05, d.median(), 4.0, 30.0):
                 calls.clear()
-                cdf_rth(d, OrderIndex(r, n), x)
-                assert len(calls) == 1, (r, n, x)
+                fn(d, OrderIndex(r, n), x)
+                assert len(calls) == 1, (fn.__name__, r, n, x)
 
     @pytest.mark.parametrize("b", [0.5, 2.0, 50.0])
     def test_far_side_relative_accuracy_against_mpmath(self, b):
@@ -345,7 +349,53 @@ class TestRankCdf:
         assert abs(got - ref) <= 1e-9 * ref
 
 
-@pytest.mark.parametrize("fn", [pdf_rth, cdf_rth])
+class TestRankSurvival:
+    @pytest.mark.parametrize("r, n, x", [(1, 10, 15.0), (10, 10, 20.0), (5, 10, 8.0)])
+    def test_upper_tail_where_one_minus_cdf_is_zero(self, r, n, x):
+        # At b = 2, 1 - cdf_rth rounds to 0.0 here; the true values are
+        # 3.11e-123, 2.55e-16 and 1.98e-35. Worst measured 1.1e-14 relative.
+        import mpmath as mp
+
+        d, idx = GeneralizedHalfLogistic(2.0), OrderIndex(r, n)
+        with mp.workdps(50):
+            s = mp.betainc(2.0, 0.5, 0, mp.sech(mp.mpf(x) / 2) ** 2, regularized=True)
+            ref = mp.betainc(n - r + 1, r, 0, s, regularized=True)
+        assert 1.0 - cdf_rth(d, idx, x) == 0.0
+        assert abs(sf_rth(d, idx, x) - ref) <= 3e-14 * ref
+
+    def test_both_tails_relative_accuracy_against_mpmath(self):
+        # Worst measured 1.9e-12, at b = 0.01, x = 4.4, r = 1 of 1000: there
+        # sf_rth is S^1000, which carries S's own error a thousandfold.
+        _, _, worst_sf = rank_worst_errors()
+        assert worst_sf <= 4e-12
+
+    def test_complements_cdf_rth(self):
+        # cdf_rth reads F and sf_rth reads S, and F + S = 1 only to half an
+        # ulp of 1. Each side carries that through the slope of I_u(r, n-r+1),
+        # dI/dF = pdf_rth / pdf, which reaches n. So the sum is within 4 ulps
+        # only where the slope is small (every n <= 50 here). Worst measured:
+        # 245 ulps at b = 10, x = 4.5e-6, r = 1 of 1000 (slope 999); past the
+        # 4 ulps, at most 0.25 ulp per unit of slope.
+        checked = 0
+        for b in SWEEP_SHAPES:
+            d = GeneralizedHalfLogistic(b)
+            for x in SWEEP_XS:
+                for r, n in SWEEP_RANKS:
+                    idx = OrderIndex(r, n)
+                    lower, upper = cdf_rth(d, idx, x), sf_rth(d, idx, x)
+                    if lower > 1e-3 and upper > 1e-3:
+                        slope = pdf_rth(d, idx, x) / d.pdf(x)
+                        assert abs(lower + upper - 1.0) <= (4.0 + 0.5 * slope) * math.ulp(1.0), (b, x, r, n)
+                        checked += 1
+        assert checked >= 200
+
+    def test_one_at_the_origin(self):
+        d = GeneralizedHalfLogistic(3.0)
+        for r, n in [(1, 1), (2, 4), (5, 5)]:
+            assert sf_rth(d, OrderIndex(r, n), 0.0) == 1.0
+
+
+@pytest.mark.parametrize("fn", [pdf_rth, cdf_rth, sf_rth])
 @pytest.mark.parametrize("x", [-1e-9, math.nan])
 def test_support_errors_name_the_function_called(fn, x):
     with pytest.raises(ValueError, match=f"^{fn.__name__} is supported"):

@@ -21,6 +21,7 @@ def test_all_is_frozen():
         "pdf_max",
         "pdf_min",
         "cdf_rth",
+        "sf_rth",
         "Tolerance",
         "QuadResult",
         "ConvergenceError",
