@@ -1,18 +1,20 @@
 """Log-gamma, log-beta, and the regularized incomplete beta function.
 
-Everything here is scalar, pure, and written against binary64. The
-incomplete beta function is evaluated by a Lentz continued fraction with
-Numerical Recipes' symmetry switch at u > (a+1)/(a+b+2), giving I and
-1 - I; a denominator that rounds to 0 raises ConvergenceError. Its
-inverse steps on the log of the smaller side, with its residual relative
-to min(q, 1 - q): one guarded Halley/Newton iteration inside a bisection
-bracket that stops once a trusted Halley step is cubically small, after
-one evaluation at (1/2, b >= 2) from Hill's Student-t quantile seed.
-ln B(a, b) comes from log_beta, and the front factor is formed in logs.
+Everything here is scalar, pure, and written against binary64; the inverse's
+one-entry cache of its per-shape setup changes no result or error. The
+incomplete beta function is a Lentz continued fraction with Numerical
+Recipes' symmetry switch at u > (a+1)/(a+b+2), giving I and 1 - I; a
+denominator that rounds to 0 raises ConvergenceError. Its inverse steps on
+the log of the smaller side, with its residual relative to min(q, 1 - q):
+one guarded Halley/Newton iteration inside a bisection bracket that stops
+once a trusted Halley step is cubically small, after one evaluation at
+(1/2, b >= 2) from Hill's Student-t quantile seed. ln B(a, b) comes from
+log_beta, and the front factor is formed in logs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from statistics import NormalDist
@@ -117,12 +119,12 @@ def _betacf(a: float, b: float, u: float) -> float:
     )
 
 
-def _reg_inc_beta_raw(a: float, b: float, u: float, log_b: float) -> tuple[float, float]:
-    # Hot path shared with the inverse; arguments already validated,
-    # 0 < u < 1 strictly (the callers own the endpoints), and log B(a,b)
-    # precomputed by the caller. Returns (I, 1 - I), the fraction's own
-    # side formed without a subtraction.
-    front = math.exp(a * math.log(u) + b * math.log1p(-u) - log_b)
+def _reg_inc_beta_raw(a: float, b: float, u: float, log_u: float, log1m_u: float,
+                      log_b: float) -> tuple[float, float]:
+    # Hot path shared with the inverse: checked arguments, 0 < u < 1 strictly
+    # (the callers own the endpoints), ln u, ln(1 - u) and ln B(a,b) from the
+    # caller. Returns (I, 1 - I), the fraction's own side without a subtraction.
+    front = math.exp(a * log_u + b * log1m_u - log_b)
     if u <= (a + 1.0) / (a + b + 2.0):
         i = front * _betacf(a, b, u) / a
         return i, 1.0 - i
@@ -143,10 +145,27 @@ def reg_inc_beta(a: float, b: float, u: float) -> float:
         return 0.0
     if u == 1.0:
         return 1.0
-    return min(1.0, max(0.0, _reg_inc_beta_raw(a, b, u, log_beta(a, b))[0]))
+    i = _reg_inc_beta_raw(a, b, u, math.log(u), math.log1p(-u), log_beta(a, b))[0]
+    return min(1.0, max(0.0, i))
 
 
-def _inverse_seed(a: float, b: float, q: float, log_b: float) -> float:
+def _hill_constants(b: float) -> tuple[float, ...]:
+    # Hill's nu-only constants at nu = 2b: nu, h, g, c before its tail correction, d.
+    nu, h = 2.0 * b, 1.0 / (2.0 * b - 0.5)
+    g = 48.0 / (h * h)
+    c = ((20700.0 * h / g - 98.0) * h - 16.0) * h + 96.36
+    return nu, h, g, c, ((94.5 / (g + c) - 3.0) / g + 1.0) * math.sqrt(h * math.pi / 2.0) * nu
+
+
+@functools.lru_cache(maxsize=1)
+def _inverse_setup(a: float, b: float) -> tuple[float, float, float, tuple[float, ...]]:
+    # The inverse's per-shape work at checked shapes. Past b = 1e150, short of
+    # h^2 underflowing at b ~ 3e161, the seed forms Hill's constants itself.
+    hill = _hill_constants(b) if a == 0.5 and 1.0 <= b <= 1e150 else ()
+    return log_beta(a, b), a - 1.0, b - 1.0, hill
+
+
+def _inverse_seed(a: float, b: float, q: float, log_b: float, hill: tuple[float, ...] = ()) -> float:
     """Initial guess for I_u(a,b) = q, strictly inside (0, 1), or 0.0 when
     the root rounds to 0.0.
 
@@ -170,11 +189,7 @@ def _inverse_seed(a: float, b: float, q: float, log_b: float) -> float:
         # T = sqrt(nu)(2V - 1)/(2 sqrt(V(1 - V))) is Student t with nu = 2b
         # for V ~ Beta(b, b), so u = T^2/(nu + T^2): Hill's quantile at the
         # two-tailed level 1 - q gives y = T^2/nu, tail branch as in R's qt.
-        nu, p2 = 2.0 * b, 1.0 - q
-        h = 1.0 / (nu - 0.5)
-        g = 48.0 / (h * h)
-        c = ((20700.0 * h / g - 98.0) * h - 16.0) * h + 96.36
-        d = ((94.5 / (g + c) - 3.0) / g + 1.0) * math.sqrt(h * math.pi / 2.0) * nu
+        (nu, h, g, c, d), p2 = hill or _hill_constants(b), 1.0 - q
         y = (d * p2) ** (2.0 / nu)
         if y > 0.05 + h:
             z = _STD_NORMAL.inv_cdf(0.5 * p2)
@@ -223,7 +238,8 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     inside and the bracket shrinks on every pass. The solve ends on a
     residual within 2 _F_TOL min(q, 1 - q), on a step that rounds away, or
     after a trusted Halley step within _STOP_STEP of min(u, 1 - u), whose
-    error is of order its cube.
+    error is of order its cube. The per-shape setup is cached one entry deep,
+    formed once for a batch at one shape; no result or error changes by it.
     """
     _check_shape_pair(a, b)
     if not (0.0 <= q <= 1.0):
@@ -233,11 +249,9 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     if q == 1.0:
         return 1.0
 
-    log_b = log_beta(a, b)
-    am1 = a - 1.0
-    bm1 = b - 1.0
+    log_b, am1, bm1, hill = _inverse_setup(a, b)
     lo, hi = 0.0, 1.0
-    u = _inverse_seed(a, b, q, log_b)
+    u = _inverse_seed(a, b, q, log_b, hill)
     if u == 0.0:
         return 0.0
     # The smaller side, I_u against q or 1 - I_u against 1 - q (exact for
@@ -247,7 +261,8 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     log_t = math.log(target)
 
     while True:
-        small = _reg_inc_beta_raw(a, b, u, log_b)[pick]
+        log_u, log1m_u = math.log(u), math.log1p(-u)
+        small = _reg_inc_beta_raw(a, b, u, log_u, log1m_u, log_b)[pick]
         fu = side * (small - target)
         if fu > 0.0:
             hi = u
@@ -255,7 +270,7 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
             lo = u
         # Density f of the beta distribution at u, in log space; next to a
         # pole of a shape below 1 it can pass the binary64 range.
-        log_dens = am1 * math.log(u) + bm1 * math.log1p(-u) - log_b
+        log_dens = am1 * log_u + bm1 * log1m_u - log_b
         # Halley on ln(small / target), with f''/f' = (a-1)/u - (b-1)/(1-u)
         # for the beta density: from far off a tiny target, a step on
         # small - target crawls along the steep tail, while the one on the

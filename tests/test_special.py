@@ -8,12 +8,13 @@ log_gamma wraps math.lgamma, so it is checked against mpmath, not lgamma.
 import math
 import random
 import sys
+import threading
 
 import pytest
 from scipy import special as sp
 
 from ghl3 import ConvergenceError, QuadResult, inv_reg_inc_beta, log_beta, log_gamma, reg_inc_beta
-from ghl3 import special
+from ghl3 import GeneralizedHalfLogistic, OrderIndex, RngStream, sample, sample_order_stat, special
 
 
 @pytest.mark.parametrize(
@@ -463,3 +464,87 @@ class TestInverse:
         with mp.workdps(30):
             assert abs(mp.betainc(a, b, 0, u, regularized=True) - q) <= 1e-15
         assert len(calls) <= 120
+
+
+def _inverse_outcome(a, b, q):
+    # The inverse's value as hex, or its exception's type and message.
+    try:
+        return inv_reg_inc_beta(a, b, q).hex()
+    except Exception as exc:  # noqa: BLE001
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestInverseSetupCache:
+    @pytest.mark.parametrize("b", [0.5, 2.0, 1000.0])
+    def test_setup_runs_once_per_shape(self, count_calls, b):
+        # A batch of draws shares one shape, so ln B(1/2, b) is formed once
+        # for it; formed per draw, these made 200 and 10 calls.
+        d = GeneralizedHalfLogistic(b)
+        calls = count_calls("log_beta", special)
+        special._inverse_setup.cache_clear()
+        sample(d, RngStream(3), 200)
+        assert len(calls) == 1
+        calls.clear()
+        special._inverse_setup.cache_clear()
+        sample_order_stat(d, OrderIndex(2, 5), RngStream(4), 10)
+        assert len(calls) == 1
+
+    def test_cached_setup_changes_no_outcome(self):
+        # Repeats, (a, b) then (b, a), 2 against 2.0, and 1/2 against other
+        # values of a, interleaved: each value or error equals the one
+        # formed from an empty cache. Past b = 1e150 the seed forms Hill's
+        # constants itself, and where they divide by zero it raises.
+        shapes = [(0.5, 2.0), (2.0, 0.5), (2, 3.0), (2.0, 3.0), (3.0, 2), (2.0, 2), (2, 2.0),
+                  (0.5, 7.5), (1.5, 7.5), (7.5, 0.5), (0.5, 0.3), (0.3, 0.5), (0.5, 1.0),
+                  (0.5, 1e3), (1e3, 0.5), (0.5, 1e150), (0.5, 1e200), (0.5, 1e300), (1e306, 1.0)]
+        rng = random.Random(20261020)
+        points = []
+        for _ in range(600):
+            a, b = rng.choice(shapes)
+            for _ in range(rng.randint(1, 3)):
+                q = rng.choice([0.0, 1.0, 1e-300, 1 - 1e-12, 10.0 ** rng.uniform(-300, 0), rng.random()])
+                points.append((a, b, q, _inverse_outcome(a, b, q)))
+        for a, b, q, got in points:
+            special._inverse_setup.cache_clear()
+            assert _inverse_outcome(a, b, q) == got, (a, b, q)
+
+    def test_root_below_hill_constants_underflow(self):
+        # At (1/2, 1e300) h^2 underflows, but the root lies below the seed's
+        # 1e-300 floor and the lower power law returns it first: u is about
+        # a chi-square(1) median over 2b.
+        special._inverse_setup.cache_clear()
+        assert inv_reg_inc_beta(0.5, 1e300, 0.5) == pytest.approx(0.454936423119572 / 2e300, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+    def test_bad_shape_raises_between_valid_calls(self, bad):
+        # The shape check runs on every call, ahead of the cached setup, so a
+        # bad shape raises every time, endpoints included, and the valid
+        # shape around it keeps its value.
+        want = inv_reg_inc_beta(0.5, 2.0, 0.3)
+        for q in (0.3, 0.0, 1.0, 0.3):
+            for a, b in [(bad, 2.0), (0.5, bad), (bad, bad), (2.0, bad)]:
+                with pytest.raises(ValueError, match="shape parameters"):
+                    inv_reg_inc_beta(a, b, q)
+                assert inv_reg_inc_beta(0.5, 2.0, 0.3) == want
+
+    def test_two_threads_at_two_shapes_match_serial(self):
+        # Two threads take turns in the one-entry cache, each at its own
+        # shape; a short switch interval interleaves them inside solves.
+        dists = [GeneralizedHalfLogistic(0.7), GeneralizedHalfLogistic(40.0)]
+        serial = [sample(d, RngStream(i), 3000) for i, d in enumerate(dists)]
+        threaded = [None, None]
+
+        def draw(i):
+            threaded[i] = sample(dists[i], RngStream(i), 3000)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=draw, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
