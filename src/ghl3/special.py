@@ -159,8 +159,8 @@ def _hill_constants(b: float) -> tuple[float, ...]:
 
 @functools.lru_cache(maxsize=1)
 def _inverse_setup(a: float, b: float) -> tuple[float, float, float, tuple[float, ...]]:
-    # The inverse's per-shape work at checked shapes. Past b = 1e150, short of
-    # h^2 underflowing at b ~ 3e161, the seed forms Hill's constants itself.
+    # The inverse's per-shape work at checked shapes. Hill's constants stop at
+    # b = 1e150, short of h^2 underflowing at b ~ 3e161; power laws seed past it.
     hill = _hill_constants(b) if a == 0.5 and 1.0 <= b <= 1e150 else ()
     return log_beta(a, b), a - 1.0, b - 1.0, hill
 
@@ -169,8 +169,8 @@ def _inverse_seed(a: float, b: float, q: float, log_b: float, hill: tuple[float,
     """Initial guess for I_u(a,b) = q, strictly inside (0, 1), or 0.0 when
     the root rounds to 0.0.
 
-    At a = 1/2 and b >= 1, the quantile's kernel, u = T^2/(2b + T^2) with T
-    Hill's Student t quantile (CACM Algorithm 396) for 2b degrees of freedom
+    Given `hill` (a = 1/2, 1 <= b <= 1e150), the kernel u = T^2/(2b + T^2) with
+    T Hill's Student t quantile (CACM Algorithm 396) for 2b degrees of freedom
     at two-tailed level 1 - q. Other shapes >= 1: the normal approximation
     of Abramowitz & Stegun 26.5.22 with the upper-tail deviate -Phi^-1(q)
     (Numerical Recipes `invbetai`). Otherwise the tail power laws I_u ~
@@ -185,11 +185,11 @@ def _inverse_seed(a: float, b: float, q: float, log_b: float, hill: tuple[float,
     if log_low < -690.0:
         # Unclamped: from the 1e-300 floor a subnormal root takes bisection.
         return math.exp(log_low)
-    if a == 0.5 and b >= 1.0:
+    if hill:
         # T = sqrt(nu)(2V - 1)/(2 sqrt(V(1 - V))) is Student t with nu = 2b
         # for V ~ Beta(b, b), so u = T^2/(nu + T^2): Hill's quantile at the
         # two-tailed level 1 - q gives y = T^2/nu, tail branch as in R's qt.
-        (nu, h, g, c, d), p2 = hill or _hill_constants(b), 1.0 - q
+        (nu, h, g, c, d), p2 = hill, 1.0 - q
         y = (d * p2) ** (2.0 / nu)
         if y > 0.05 + h:
             z = _STD_NORMAL.inv_cdf(0.5 * p2)

@@ -1,12 +1,14 @@
 """Sampler tests: stream reproducibility, inverse-transform exactness,
 and distributional agreement via Kolmogorov-Smirnov."""
 
+import hashlib
 import math
 
 import pytest
 
 from conftest import ks_distance
 from ghl3 import GeneralizedHalfLogistic, OrderIndex, RngStream, cdf_rth, sample, sample_order_stat
+from ghl3.sampling import _LANES
 
 
 class TestRngStream:
@@ -38,27 +40,34 @@ class TestRngStream:
         assert s.counter == 2
 
     def test_frozen_reference_sequence(self):
-        # pins cross-platform bit reproducibility
+        # Pins cross-platform bit reproducibility: literals taken from the
+        # scalar mix, and the hash of the stream behind
+        # `ghl3 sample --b 2 --count 100000 --seed 1`.
         s = RngStream(seed=0)
-        got = [s.next_uniform() for _ in range(3)]
-        again = RngStream(seed=0)
-        assert got == [again.next_uniform() for _ in range(3)]
-        assert all(u == ((k >> 12) + 0.5) * 2.0**-52 for u, k in zip(got, _raw_ints(0, 3)))
+        assert [s.next_uniform().hex() for _ in range(3)] == [
+            "0x1.c4415072f63b9p-1", "0x1.b9e279aa86e5ap-2", "0x1.b117462002520p-6"]
+        s = RngStream(2**64 - 1, 2**64 + 3)
+        assert [s.next_uniform().hex() for _ in range(2)] == ["0x1.b476cdb32ea62p-2", "0x1.69408e5caf00dp-1"]
+        text = "\n".join(u.hex() for u in RngStream(1)._uniforms(100000))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2ff40b41f77f3667daa8e843207be3ff325e557718658d984ff4760b6f3c9a27")
 
     @pytest.mark.parametrize("seed, counter", [(-1, 0), (2**64, 0), (0, -1), (0.5, 0)])
     def test_validation(self, seed, counter):
         with pytest.raises(ValueError):
             RngStream(seed=seed, counter=counter)
 
-    @pytest.mark.parametrize("n", [1, 2, 257])
-    @pytest.mark.parametrize("counter", [0, 5, 2**64 + 3])
+    @pytest.mark.parametrize("n", sorted({1, 2, 257, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 1}))
+    @pytest.mark.parametrize("counter", [0, 5, 2**64 + 3, 2**70])
     @pytest.mark.parametrize("seed", [0, 31337, 2**64 - 1])
     def test_batch_of_uniforms_matches_reference(self, seed, counter, n):
-        # 2^64 + 3 makes seed + i * golden wrap the 64-bit mask.
+        # 2^64 + 3 makes seed + i * golden wrap the 64-bit mask; n crosses
+        # the edges of the lane chunks. The counter moves before any is read.
         s = RngStream(seed, counter)
-        got = s._uniforms(n)
-        assert got == [((k >> 12) + 0.5) * 2.0**-52 for k in _raw_ints(seed, n, counter)]
+        uniforms = s._uniforms(n)
         assert s.counter == counter + n
+        got = list(uniforms)
+        assert got == [((k >> 12) + 0.5) * 2.0**-52 for k in _raw_ints(seed, n, counter)]
         one = RngStream(seed, counter)
         assert [one.next_uniform() for _ in range(n)] == got
         assert one.counter == s.counter
@@ -71,14 +80,16 @@ class TestRngStream:
 
 
 def _raw_ints(seed, count, counter=0):
-    # The 64-bit words of uniforms counter+1 .. counter+count, indexed here
-    # rather than by RngStream. next_uniform and sample now share one
-    # mapping, RngStream._uniforms, so this is the only copy of the
-    # (seed, i) indexing outside it; the mix itself is imported, and the CI
-    # step's `ghl3 sample` lines pin its bits.
-    from ghl3.sampling import _GOLDEN, _MASK64, _mix64
-
-    return [_mix64((seed + (counter + i + 1) * _GOLDEN) & _MASK64) for i in range(count)]
+    # The 64-bit words of uniforms counter+1 .. counter+count from a scalar
+    # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), one word at a time.
+    mask = (1 << 64) - 1
+    words = []
+    for i in range(counter + 1, counter + count + 1):
+        z = (seed + i * 0x9E3779B97F4A7C15) & mask
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        words.append(z ^ (z >> 31))
+    return words
 
 
 class TestSample:
@@ -150,22 +161,25 @@ class TestSampleOrderStat:
         xs = sample_order_stat(d, idx, RngStream(seed=17), n_batches)
         assert ks_distance(xs, lambda x: cdf_rth(d, idx, x)) < 1.63 / math.sqrt(n_batches)
 
-    @pytest.mark.parametrize("r, n", [(1, 7), (4, 7), (7, 7), (13, 50)])
+    @pytest.mark.parametrize("r, n, batches", [(1, 7, 4), (4, 7, 4), (7, 7, 4), (13, 50, 4),
+                                               (2, 3, 200), (13, 50, 12)])
     @pytest.mark.parametrize("b", [0.5, 2.0, 100.0])
-    def test_one_quantile_per_batch_matches_sorting_all_draws(self, monkeypatch, count_calls, b, r, n):
+    def test_one_quantile_per_batch_matches_sorting_all_draws(self, monkeypatch, count_calls, b, r, n, batches):
+        # n * batches past _LANES reads batches across lane chunks.
         d = GeneralizedHalfLogistic(b)
-        batches = 4
         for seed in (0, 31337, 2**64 - 1):
             # Reference: all n draws of a batch, sorted, keep the r-th.
             probe = RngStream(seed=seed, counter=5)
             want = [sorted(d.quantile(probe.next_uniform()) for _ in range(n))[r - 1]
                     for _ in range(batches)]
             calls = count_calls("quantile", GeneralizedHalfLogistic)
+            streams = count_calls("_uniforms", RngStream)
             stream = RngStream(seed=seed, counter=5)
             got = sample_order_stat(d, OrderIndex(r, n), stream, batches)
             monkeypatch.undo()
             assert got == want
             assert len(calls) == batches
+            assert len(streams) == 1
             assert stream.counter == 5 + n * batches
 
     def test_integral_float_index(self):

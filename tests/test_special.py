@@ -492,8 +492,8 @@ class TestInverseSetupCache:
     def test_cached_setup_changes_no_outcome(self):
         # Repeats, (a, b) then (b, a), 2 against 2.0, and 1/2 against other
         # values of a, interleaved: each value or error equals the one
-        # formed from an empty cache. Past b = 1e150 the seed forms Hill's
-        # constants itself, and where they divide by zero it raises.
+        # formed from an empty cache. Past b = 1e150 the seed takes the tail
+        # power laws.
         shapes = [(0.5, 2.0), (2.0, 0.5), (2, 3.0), (2.0, 3.0), (3.0, 2), (2.0, 2), (2, 2.0),
                   (0.5, 7.5), (1.5, 7.5), (7.5, 0.5), (0.5, 0.3), (0.3, 0.5), (0.5, 1.0),
                   (0.5, 1e3), (1e3, 0.5), (0.5, 1e150), (0.5, 1e200), (0.5, 1e300), (1e306, 1.0)]
@@ -507,6 +507,20 @@ class TestInverseSetupCache:
         for a, b, q, got in points:
             special._inverse_setup.cache_clear()
             assert _inverse_outcome(a, b, q) == got, (a, b, q)
+
+    @pytest.mark.parametrize("q", [1e-10, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("b", [1e151, 1e155, 1e165, 1e200, 1e299, 1e300])
+    def test_power_law_seed_past_hill_constants(self, count_calls, b, q):
+        # Hill's h = 1/(2b - 1/2) squares to 0 from b ~ 3.2e161, and his
+        # g = 48/h^2 raised ZeroDivisionError there. As b -> inf, I_u(1/2, b)
+        # -> erf(sqrt(b u)), whose error at these b is below any double.
+        calls = count_calls("_reg_inc_beta_raw", special)
+        special._inverse_setup.cache_clear()
+        u = inv_reg_inc_beta(0.5, b, q)
+        assert 1 <= len(calls) <= 3
+        if u >= sys.float_info.min:
+            small = math.erf(math.sqrt(b * u)) if q <= 0.5 else math.erfc(math.sqrt(b * u))
+            assert small == pytest.approx(min(q, 1.0 - q), rel=1e-12)
 
     def test_root_below_hill_constants_underflow(self):
         # At (1/2, 1e300) h^2 underflows, but the root lies below the seed's
