@@ -20,10 +20,11 @@ The cdf is computed two ways on purpose:
 Both are exposed; odd moments integrate the density, even ones are exact.
 By B(b, b) = 2^(1-2b) B(1/2, b) the density is s^b / B(1/2, b), and every
 density reads ln s from one _log_s(x). Survival, hazard, interval
-probabilities and the order statistics read F, S and ln f from one short
-continued fraction of the pair (_pair); the cdf is one reg_inc_beta call,
-and the quantile and median invert it at (1/2, b). All operations are pure
-and instances are immutable, so values are safe to share across threads.
+probabilities and the order statistics read F, S and ln f from the pair
+(_pair), one call of special's incomplete-beta kernel, which picks the side;
+the cdf is one reg_inc_beta call, and the quantile and median invert it at
+(1/2, b). All operations are pure and instances are immutable, so values
+are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .quadrature import Tolerance, _moments_semi_infinite, integrate_finite, integrate_semi_infinite
-from .special import _betacf, inv_reg_inc_beta, log_beta, reg_inc_beta
+from .special import _reg_inc_beta_raw, inv_reg_inc_beta, log_beta, reg_inc_beta
 
 __all__ = [
     "GeneralizedHalfLogistic",
@@ -223,26 +224,21 @@ class GeneralizedHalfLogistic:
 
     def _pair(self, x: float, what: str) -> tuple[float, float, float, float]:
         """(F, S, ln f, h) at x >= 0 (what names the caller in support errors)
-        from one continued fraction of the pair F = I_{t^2}(1/2, b),
-        S = I_s(b, 1/2), ln f = b ln s - ln B(1/2, b), on the side of Numerical
-        Recipes' switch t^2 = 3/(2b + 5) where it is short: near it F = 2*f*t*K'
-        with K' at (1/2, b, t^2), S = 1 - F and h = f/S, so F(0) = 0 exactly;
-        far out S = f*t*K/b with K at (b, 1/2, s), clamped to 1 for tiny b,
-        F = 1 - S and h = b/(t*K), finite where f and S underflow."""
+        from one kernel call at (1/2, b, t^2), with 1 - t^2 = s and the front
+        factor f*t, and ln f = b ln s - ln B(1/2, b). Where the kernel's slope
+        is positive it computed F, so F(0) = 0 exactly and h = f/S; else it
+        computed S, clamped to 1 for tiny b, and h = -slope/t, finite where f
+        and S underflow."""
         if not 0.0 <= x < math.inf:
             _check_support(x, what)
-        b = self.b
         t = math.tanh(0.5 * x)
-        t2 = t * t
         log_s = _log_s(x)
-        log_f = b * log_s - self._log_beta_half
+        log_f = self.b * log_s - self._log_beta_half
         f = math.exp(log_f)
-        if t2 < 1.5 / (b + 2.5):
-            big_f = 2.0 * f * t * _betacf(0.5, b, t2)
-            return big_f, 1.0 - big_f, log_f, f / (1.0 - big_f)
-        tk = t * _betacf(b, 0.5, math.exp(log_s))
-        big_s = min(1.0, f * tk / b)
-        return 1.0 - big_s, big_s, log_f, b / tk
+        big_f, big_s, slope = _reg_inc_beta_raw(0.5, self.b, t * t, math.exp(log_s), f * t)
+        if slope > 0.0:
+            return big_f, big_s, log_f, f / big_s
+        return max(0.0, big_f), min(1.0, big_s), log_f, -slope / t
 
     def survival(self, x: float) -> float:
         """1 - F(x) = I_s(b, 1/2) with s = sech^2(x/2), exactly 1 at x = 0.

@@ -7,13 +7,13 @@ The r-th of n draws has density
 with the maximum (r = n) and minimum (r = 1) as the usual special cases,
 cdf I_F(x)(r, n-r+1) and survival I_S(x)(n-r+1, r) (David & Nagaraja,
 Order Statistics, 2.1).
-Everything is computed from one pair of the kernel, F, S and ln f at x
-from a single short continued fraction -- never by nesting quadrature
-inside quadrature -- and in log space or through the incomplete beta, so
-sample sizes up to 10^4 neither overflow nor lose the tails. Near the
-origin the pair forms F without a subtraction, so F^(r-1) keeps its digits
-down to the smallest x; far out it forms S from ln s, so 1 - S stays below
-1 at small b, where the closed-form cdf rounds to 1.
+Everything is computed from the pair, F, S and ln f at x from one call of
+the incomplete-beta kernel -- never by nesting quadrature inside quadrature
+-- and in log space or through the incomplete beta, so sample sizes up to
+10^4 neither overflow nor lose the tails. The kernel picks the side: near
+the origin it forms F without a subtraction, so F^(r-1) keeps its digits
+down to the smallest x; far out it forms S from s = sech^2(x/2), so 1 - S
+stays below 1 at small b, where the closed-form cdf rounds to 1.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
 """Log-gamma, log-beta, and the regularized incomplete beta function.
 
 Everything here is scalar, pure, and written against binary64; the inverse's
-one-entry cache of its per-shape setup changes no result or error. The
-incomplete beta function is a Lentz continued fraction with Numerical
-Recipes' symmetry switch at u > (a+1)/(a+b+2), giving I and 1 - I; a
-denominator that rounds to 0 raises ConvergenceError. Its inverse steps on
-the log of the smaller side, with its residual relative to min(q, 1 - q):
-one guarded Halley/Newton iteration inside a bisection bracket that stops
-once a trusted Halley step is cubically small, after one evaluation at
-(1/2, b >= 2) from Hill's Student-t quantile seed. ln B(a, b) comes from
-log_beta, and the front factor is formed in logs.
+one-entry cache of its per-shape setup changes no result or error. One kernel,
+a Lentz continued fraction behind Numerical Recipes' switch at u > (a+1)/(a+b+2),
+picks the side for reg_inc_beta, the inverse and the distribution's pair: given
+u, 1 - u and the front factor, formed in logs from log_beta's ln B(a, b), it
+gives I, 1 - I and that side's log-slope, or ConvergenceError on a denominator
+that rounds to 0. The inverse steps on the log of the smaller side, with its
+residual relative to min(q, 1 - q): one guarded Halley/Newton iteration inside a
+bisection bracket that stops once a trusted Halley step is cubically small,
+after one evaluation at (1/2, b >= 2) from Hill's Student-t quantile seed.
 """
 
 from __future__ import annotations
@@ -119,17 +119,17 @@ def _betacf(a: float, b: float, u: float) -> float:
     )
 
 
-def _reg_inc_beta_raw(a: float, b: float, u: float, log_u: float, log1m_u: float,
-                      log_b: float) -> tuple[float, float]:
-    # Hot path shared with the inverse: checked arguments, 0 < u < 1 strictly
-    # (the callers own the endpoints), ln u, ln(1 - u) and ln B(a,b) from the
-    # caller. Returns (I, 1 - I), the fraction's own side without a subtraction.
-    front = math.exp(a * log_u + b * log1m_u - log_b)
+def _reg_inc_beta_raw(a: float, b: float, u: float, v: float, front: float) -> tuple[float, float, float]:
+    # Checked shapes, u in [0, 1], v = 1 - u and front = u^a v^b / B(a,b) from the caller.
+    # (I, 1 - I, slope): the fraction's own side without a subtraction, and its log-slope
+    # in logit u, a/K > 0 below Numerical Recipes' switch and -b/K' < 0 above it.
     if u <= (a + 1.0) / (a + b + 2.0):
-        i = front * _betacf(a, b, u) / a
-        return i, 1.0 - i
-    j = front * _betacf(b, a, 1.0 - u) / b
-    return 1.0 - j, j
+        k = _betacf(a, b, u)
+        i = front * k / a
+        return i, 1.0 - i, a / k
+    k = _betacf(b, a, v)
+    j = front * k / b
+    return 1.0 - j, j, -b / k
 
 
 def reg_inc_beta(a: float, b: float, u: float) -> float:
@@ -145,7 +145,8 @@ def reg_inc_beta(a: float, b: float, u: float) -> float:
         return 0.0
     if u == 1.0:
         return 1.0
-    i = _reg_inc_beta_raw(a, b, u, math.log(u), math.log1p(-u), log_beta(a, b))[0]
+    front = math.exp(a * math.log(u) + b * math.log1p(-u) - log_beta(a, b))
+    i = _reg_inc_beta_raw(a, b, u, 1.0 - u, front)[0]
     return min(1.0, max(0.0, i))
 
 
@@ -165,7 +166,7 @@ def _inverse_setup(a: float, b: float) -> tuple[float, float, float, tuple[float
     return log_beta(a, b), a - 1.0, b - 1.0, hill
 
 
-def _inverse_seed(a: float, b: float, q: float, log_b: float, hill: tuple[float, ...] = ()) -> float:
+def _inverse_seed(a: float, b: float, q: float, log_b: float, hill: tuple[float, ...]) -> float:
     """Initial guess for I_u(a,b) = q, strictly inside (0, 1), or 0.0 when
     the root rounds to 0.0.
 
@@ -262,7 +263,8 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
 
     while True:
         log_u, log1m_u = math.log(u), math.log1p(-u)
-        small = _reg_inc_beta_raw(a, b, u, log_u, log1m_u, log_b)[pick]
+        front = math.exp(a * log_u + b * log1m_u - log_b)
+        small = _reg_inc_beta_raw(a, b, u, 1.0 - u, front)[pick]
         fu = side * (small - target)
         if fu > 0.0:
             hi = u

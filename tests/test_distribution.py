@@ -27,6 +27,7 @@ from ghl3 import (
     logistic_sigma,
     pdf_rth,
     quadrature,
+    sf_rth,
     type3_logistic_pdf,
 )
 
@@ -462,6 +463,25 @@ class TestSurvivalHazard:
                     x = k * x_switch
                     f = mp.exp(log_norm - b * x - 2 * b * mp.log1p(mp.exp(-mp.mpf(x))))
                     assert abs(d.hazard(x) * d.survival(x) - f) <= 1e-13 * f, (b, k)
+
+    @pytest.mark.parametrize("b", [1e-3, 1.0, 1e3])
+    def test_pair_reaches_the_fraction_only_through_the_kernel(self, count_calls, b):
+        # Each _pair makes one call of special's kernel, which picks the side
+        # of the switch t^2 = 3/(2b + 5); the module holds no fraction of its own.
+        assert "_betacf" not in vars(distribution)
+        kernel = count_calls("_reg_inc_beta_raw", distribution)
+        pairs = count_calls("_pair", GeneralizedHalfLogistic)
+        d, idx = GeneralizedHalfLogistic(b), OrderIndex(2, 3)
+        callers = [d.survival, d.hazard, lambda x: d.interval_prob(x, 1.001 * x),
+                   *(functools.partial(fn, d, idx) for fn in (pdf_rth, cdf_rth, sf_rth))]
+        x_switch = 2.0 * math.atanh(math.sqrt(3.0 / (2.0 * b + 5.0)))
+        for x in (0.0, 1e-12, 0.99 * x_switch, 1.01 * x_switch, 30.0, 760.0):
+            for fn in callers:
+                kernel.clear()
+                pairs.clear()
+                fn(x)
+                assert len(kernel) == len(pairs) >= 1, (x, fn)
+                assert {u <= 1.5 / (b + 2.5) for _, _, u, _, _ in kernel} == {x < x_switch}, (x, fn)
 
     @pytest.mark.parametrize("b", [1e-8, 1e-10, 1e-12])
     def test_continued_fraction_stops_one_ulp_from_one(self, b):

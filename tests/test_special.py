@@ -177,6 +177,37 @@ class TestRegIncBeta:
                 ref = mp.betainc(0.5, b, 0, u, regularized=True)
                 assert abs(reg_inc_beta(0.5, b, u) - ref) <= 1e-14 * ref, (b, u)
 
+    def test_kernel_slope_against_mpmath(self):
+        # The kernel's third value is d ln I/d logit u = u^a (1-u)^b/(B I) below
+        # the switch and d ln(1 - I)/d logit u = -u^a (1-u)^b/(B I_{1-u}(b, a))
+        # above it, read from the fraction of the side it computed. u runs
+        # towards 0 and 1 and sits next to the switch on each side. Worst
+        # measured 2.8e-14 at this seed and 1.05e-13 over 20 seeds of this
+        # design, at a ~ 800 and b ~ 1e-3 next to the switch, where the
+        # fraction runs longest.
+        import mpmath as mp
+
+        rng = random.Random(34)
+        ks = (0.25, 0.5, 1, 2, 4, 8, 16)
+        with mp.workdps(40):
+            for _ in range(40):
+                a, b = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
+                switch = (a + 1.0) / (a + b + 2.0)
+                us = [10.0 ** -k for k in ks + (32, 64, 128, 300)] + [1.0 - 10.0 ** -k for k in ks]
+                us += [switch * (1.0 - 2.0 ** -10), 1.0 - (1.0 - switch) * (1.0 - 2.0 ** -10)]
+                for u in us:
+                    v = 1.0 - u
+                    front = math.exp(a * math.log(u) + b * math.log(v) - log_beta(a, b))
+                    slope = special._reg_inc_beta_raw(a, b, u, v, front)[2]
+                    # Each side reads only its own argument, u below and v above.
+                    if u <= switch:
+                        mu = mp.mpf(u)
+                        ref = mu ** a * (1 - mu) ** b / (mp.beta(a, b) * mp.betainc(a, b, 0, mu, regularized=True))
+                    else:
+                        mv = mp.mpf(v)
+                        ref = -(1 - mv) ** a * mv ** b / (mp.beta(a, b) * mp.betainc(b, a, 0, mv, regularized=True))
+                    assert abs(slope - ref) <= 2.5e-13 * abs(ref), (a, b, u)
+
     def test_continued_fraction_failure_is_convergence_error(self):
         # Far outside the supported shapes the continued fraction runs out
         # of terms; that is a numeric failure, not a usage error.
@@ -303,7 +334,7 @@ class TestInverse:
         # fed the lower-tail one it lands on the mirror point 1 - u.
         sd = 0.5 / math.sqrt(2.0 * b + 1.0)
         for q in [0.55, 0.75, 0.9, 0.99, 1 - 1e-6]:
-            seed = special._inverse_seed(b, b, q, log_beta(b, b))
+            seed = special._inverse_seed(b, b, q, log_beta(b, b), ())
             assert abs(seed - sp.betaincinv(b, b, q)) <= 0.1 * sd, q
 
     def test_kernel_evaluations_per_inverse(self, count_calls):
