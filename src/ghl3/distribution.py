@@ -219,8 +219,8 @@ class GeneralizedHalfLogistic:
         _check_support(x, "cdf_quadrature")
         if x < 1e-9:
             return x * self._f0
-        res = integrate_finite(self.pdf, 0.0, x, self.tol)
-        return min(1.0, max(0.0, res.value))
+        value = integrate_finite(self.pdf, 0.0, x, self.tol).value
+        return (value if value < 1.0 else 1.0) if value > 0.0 else 0.0
 
     def _pair(self, x: float, what: str) -> tuple[float, float, float, float]:
         """(F, S, ln f, h) at x >= 0 (what names the caller in support errors)
@@ -238,7 +238,7 @@ class GeneralizedHalfLogistic:
         big_f, big_s, slope = _reg_inc_beta_raw(0.5, self.b, t * t, math.exp(log_s), f * t)
         if slope > 0.0:
             return big_f, big_s, log_f, f / big_s
-        return max(0.0, big_f), min(1.0, big_s), log_f, -slope / t
+        return big_f if big_f > 0.0 else 0.0, big_s if big_s < 1.0 else 1.0, log_f, -slope / t
 
     def survival(self, x: float) -> float:
         """1 - F(x) = I_s(b, 1/2) with s = sech^2(x/2), exactly 1 at x = 0.
@@ -259,7 +259,8 @@ class GeneralizedHalfLogistic:
         f2, s2, _, _ = self._pair(a2, "interval_prob")
         if a1 > a2:
             raise ValueError(f"interval endpoints out of order: {a1!r} > {a2!r}")
-        return max(0.0, f2 - f1 if f2 <= s1 else s1 - s2)
+        p = f2 - f1 if f2 <= s1 else s1 - s2
+        return p if p > 0.0 else 0.0
 
     # -- moments -----------------------------------------------------------
 

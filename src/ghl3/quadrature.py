@@ -139,14 +139,16 @@ def _qk15(lo, hi, fc, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7):
     resasc *= half
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        ratio = (200.0 * err / resasc) ** 1.5
+        err = resasc * (ratio if ratio < 1.0 else 1.0)
     # The weights sum to 2, so resabs <= resasc + |value|: form the floor only if it can bind.
     if err < 1.001 * _EPS50 * (resasc + abs(value)):
         resabs = (_WGK_CENTER * abs(fc) + _WK1 * (abs(l1) + abs(r1))
                   + _WK2 * (abs(l2) + abs(r2)) + _WK3 * (abs(l3) + abs(r3))
                   + _WK4 * (abs(l4) + abs(r4)) + _WK5 * (abs(l5) + abs(r5))
                   + _WK6 * (abs(l6) + abs(r6)) + _WK7 * (abs(l7) + abs(r7)))
-        err = max(err, _EPS50 * (resabs * half))
+        floor = _EPS50 * (resabs * half)
+        err = floor if floor > err else err
     return value, err
 
 
@@ -270,7 +272,7 @@ def _semi_infinite(integrate: Callable, lo: float, tol: Tolerance,
         raise ValueError("lower bound must be finite")
     if not (math.isfinite(decay_rate) and decay_rate > 0.0):
         raise ValueError(f"decay_rate must be positive, got {decay_rate!r}")
-    cut = lo + max(50.0, 60.0 / min(1.0, decay_rate))
+    cut = lo + 60.0 / min(1.0, decay_rate)
     if not lo < cut < math.inf:
         problem = "too narrow for its nodes" if cut == lo else "beyond the double range"
         raise ConvergenceError(f"head [{lo!r}, {cut!r}] {problem}", QuadResult(0.0, math.inf, 0))
@@ -308,7 +310,7 @@ def integrate_semi_infinite(
 ) -> QuadResult:
     """Integrate f over [lo, infinity) for exponentially decaying f.
 
-    The head [lo, cut], with cut = lo + max(50, 60/min(1, decay_rate)),
+    The head [lo, cut], with cut = lo + 60/min(1, decay_rate),
     starts from panels graded by halving towards lo down to about
     1/decay_rate wide, under one global tolerance. Equal blocks are then
     appended until one adds less than 0.1 * max(abs_tol, rel_tol * |total|).

@@ -147,7 +147,11 @@ def reg_inc_beta(a: float, b: float, u: float) -> float:
         return 1.0
     front = math.exp(a * math.log(u) + b * math.log1p(-u) - log_beta(a, b))
     i = _reg_inc_beta_raw(a, b, u, 1.0 - u, front)[0]
-    return min(1.0, max(0.0, i))
+    # Picks on per-evaluation paths are comparisons: on CPython <= 3.12 a
+    # two-argument min or max costs ~140 ns against ~20. Each keeps the builtin's
+    # tie rule, max(x, y) = y if y > x else x and min with <, so NaN and -0.0
+    # come out exactly as from min and max.
+    return (i if i < 1.0 else 1.0) if i > 0.0 else 0.0
 
 
 def _hill_constants(b: float) -> tuple[float, ...]:
@@ -212,7 +216,7 @@ def _inverse_seed(a: float, b: float, q: float, log_b: float, hill: tuple[float,
         h = 2.0 / (sa + sb)
         w = z * math.sqrt(h + al) / h - (sb - sa) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h))
         # exp(700) keeps the far lower tail finite.
-        u = a / (a + b * math.exp(min(2.0 * w, 700.0)))
+        u = a / (a + b * math.exp(700.0 if 350.0 < w else 2.0 * w))
     else:
         t = (a / (a + b)) ** a / a
         v = (b / (a + b)) ** b / b
@@ -224,8 +228,10 @@ def _inverse_seed(a: float, b: float, q: float, log_b: float, hill: tuple[float,
         # I_u <= u^a / (a B) for b >= 1, so the lower power law lies below
         # the root; it takes over in the far lower tail, where the normal
         # deviate loses the root.
-        u = max(u, math.exp(log_low))
-    return min(max(u, 1e-300), _BELOW_ONE)
+        low = math.exp(log_low)
+        u = low if low > u else u
+    u = 1e-300 if 1e-300 > u else u
+    return _BELOW_ONE if _BELOW_ONE < u else u
 
 
 def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
@@ -262,9 +268,9 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     log_t = math.log(target)
 
     while True:
-        log_u, log1m_u = math.log(u), math.log1p(-u)
+        v, log_u, log1m_u = 1.0 - u, math.log(u), math.log1p(-u)
         front = math.exp(a * log_u + b * log1m_u - log_b)
-        small = _reg_inc_beta_raw(a, b, u, 1.0 - u, front)[pick]
+        small = _reg_inc_beta_raw(a, b, u, v, front)[pick]
         fu = side * (small - target)
         if fu > 0.0:
             hi = u
@@ -284,7 +290,7 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
         log_small = math.log(small) if small > 0.0 else -math.inf
         log_scale = log_small - log_dens
         scale = math.exp(log_scale) if log_scale < _LOG_DBL_MAX else math.inf
-        curv = am1 / u - bm1 / (1.0 - u)
+        curv = am1 / u - bm1 / v
         if not 0.0 < scale < math.inf:
             step = curv = math.nan
         else:
@@ -298,7 +304,7 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
         # A residual within tolerance ends the solve; the last step is free.
         if abs(fu) <= tol:
             return u_new if lo < u_new < hi else u
-        if trusted and abs(step) <= _STOP_STEP * min(u, 1.0 - u) and lo < u_new < hi:
+        if trusted and abs(step) <= _STOP_STEP * (v if v < u else u) and lo < u_new < hi:
             return u_new
         if u_new == u:
             # The step rounds away: u is the root to binary64 precision.

@@ -352,7 +352,7 @@ class TestSemiInfinite:
         assert r.value == pytest.approx(1.0, rel=1e-9)
 
     def test_graded_head_stops_before_panels_too_narrow_for_their_nodes(self):
-        # Halving [1e6, 1e6 + 50] down to 1/decay_rate would leave edges a
+        # Halving [1e6, 1e6 + 60] down to 1/decay_rate would leave edges a
         # few ulps above lo, where the first panel's nodes round onto lo.
         # The integral is about 1e-308.
         lo = 1e6
@@ -368,7 +368,7 @@ class TestSemiInfinite:
 
     @pytest.mark.parametrize("lo", [1e16, 1e17, 1e20])
     def test_head_too_narrow_for_its_nodes_raises(self, lo):
-        # cut = lo + 50 lies a few ulps above lo, so the head's nodes would
+        # cut = lo + 60 lies at most 30 ulps above lo, so the head's nodes would
         # round onto its ends; at 1e20 it rounds onto lo itself.
         with pytest.raises(ConvergenceError):
             integrate_semi_infinite(lambda x: math.exp(lo - x), lo)

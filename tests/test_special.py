@@ -5,16 +5,19 @@ closed forms where they exist (I_u(1,1) = u, I_u(2,2) = u^2 (3 - 2u)).
 log_gamma wraps math.lgamma, so it is checked against mpmath, not lgamma.
 """
 
+import ast
+import inspect
 import math
 import random
 import sys
+import textwrap
 import threading
 
 import pytest
 from scipy import special as sp
 
 from ghl3 import ConvergenceError, QuadResult, inv_reg_inc_beta, log_beta, log_gamma, reg_inc_beta
-from ghl3 import GeneralizedHalfLogistic, OrderIndex, RngStream, sample, sample_order_stat, special
+from ghl3 import GeneralizedHalfLogistic, OrderIndex, RngStream, quadrature, sample, sample_order_stat, special
 
 
 @pytest.mark.parametrize(
@@ -593,3 +596,18 @@ class TestInverseSetupCache:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+
+@pytest.mark.parametrize("fn", [
+    special.reg_inc_beta, special._inverse_seed, special.inv_reg_inc_beta,
+    GeneralizedHalfLogistic.cdf_quadrature, GeneralizedHalfLogistic._pair,
+    GeneralizedHalfLogistic.interval_prob, quadrature._qk15,
+], ids=lambda fn: fn.__qualname__)
+def test_no_two_argument_min_or_max_per_evaluation(fn):
+    # Each runs once or more per evaluation, where a builtin min or max of two
+    # values costs several times its comparison on CPython <= 3.12.
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    picks = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("min", "max") and len(node.args) >= 2]
+    assert picks == [], f"{fn.__qualname__} calls min or max at lines {picks} of its source"
