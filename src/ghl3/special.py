@@ -8,8 +8,9 @@ u, 1 - u and the front factor, formed in logs from log_beta's ln B(a, b), it
 gives I, 1 - I and that side's log-slope, or ConvergenceError on a denominator
 that rounds to 0. The inverse steps on the log of the smaller side, with its
 residual relative to min(q, 1 - q): one guarded Halley/Newton iteration inside a
-bisection bracket that stops once a trusted Halley step is cubically small,
-after one evaluation at (1/2, b >= 2) from Hill's Student-t quantile seed.
+bisection bracket that stops once a trusted Halley step is cubically small, after
+one evaluation on almost every (1/2, b >= 1/2) solve, seeded below b = 1.36 by the
+reverted tail series and from there by Hill's Student-t quantile.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ _LOG_DBL_MAX = math.log(sys.float_info.max)
 # ln u below which u rounds to 0.0: half the smallest subnormal.
 _LOG_HALF_TINY = math.log(5e-324) - math.log(2.0)
 _HALF_LN_PI = 0.5 * math.log(math.pi)
+_HILL_FROM = 1.36  # Hill seeds the (1/2, b) inverse from here up, the reverted tail series below
 
 
 def log_gamma(a: float) -> float:
@@ -162,24 +164,53 @@ def _hill_constants(b: float) -> tuple[float, ...]:
     return nu, h, g, c, ((94.5 / (g + c) - 3.0) / g + 1.0) * math.sqrt(h * math.pi / 2.0) * nu
 
 
+def _reverted_tail(a: float, b: float) -> tuple[float, ...]:
+    # The lower tail series I_w(a, b) = w^a C(w) / (a B), C(w) = sum_k (1 - b)_k / k! a / (a + k) w^k,
+    # as z = (a B I)^(1/a) = w C^(1/a) (Miller's power recurrence) reverted (A&S 3.6.25) to five
+    # terms: c1..c5 of w = z (1 + c1 z + ... + c5 z^5).
+    r, p1 = 1.0 / a, 1.0 - b
+    p2 = p1 * (2.0 - b) * 0.5
+    p3 = p2 * (3.0 - b) / 3.0
+    p4 = p3 * (4.0 - b) * 0.25
+    e1, e2, e3 = p1 * a / (a + 1.0), p2 * a / (a + 2.0), p3 * a / (a + 3.0)
+    e4, e5 = p4 * a / (a + 4.0), p4 * (5.0 - b) * 0.2 * a / (a + 5.0)
+    g1 = r * e1
+    g2 = (r - 1.0) * e1 * g1 * 0.5 + r * e2
+    g3 = ((r - 2.0) * e1 * g2 + (2.0 * r - 1.0) * e2 * g1) / 3.0 + r * e3
+    g4 = ((r - 3.0) * e1 * g3 + (2.0 * r - 2.0) * e2 * g2 + (3.0 * r - 1.0) * e3 * g1) * 0.25 + r * e4
+    g5 = ((r - 4.0) * e1 * g4 + (2.0 * r - 3.0) * e2 * g3 + (3.0 * r - 2.0) * e3 * g2
+          + (4.0 * r - 1.0) * e4 * g1) * 0.2 + r * e5
+    h = g1 * g1
+    return (-g1, 2.0 * h - g2, 5.0 * g1 * (g2 - h) - g3,
+            3.0 * g2 * (g2 - 7.0 * h) + 6.0 * g1 * g3 + 14.0 * h * h - g4,
+            7.0 * (g1 * g4 + g2 * g3) - 28.0 * (h * g3 + g1 * g2 * (g2 - 3.0 * h)) - 42.0 * h * h * g1 - g5)
+
+
 @functools.lru_cache(maxsize=1)
-def _inverse_setup(a: float, b: float) -> tuple[float, float, float, tuple[float, ...]]:
+def _inverse_setup(a: float, b: float) -> tuple[float, float, float, tuple[float, ...], tuple]:
     # The inverse's per-shape work at checked shapes. Hill's constants stop at
     # b = 1e150, short of h^2 underflowing at b ~ 3e161; power laws seed past it.
-    hill = _hill_constants(b) if a == 0.5 and 1.0 <= b <= 1e150 else ()
-    return log_beta(a, b), a - 1.0, b - 1.0, hill
+    # Where they seed: NR's split and both sides' series, 0.0 (factor 1) off a = 1/2 <= b < _HILL_FROM.
+    hill = _hill_constants(b) if a == 0.5 and _HILL_FROM <= b <= 1e150 else ()
+    if hill or (a >= 1.0 and b >= 1.0):
+        return log_beta(a, b), a - 1.0, b - 1.0, hill, ()
+    t, v = (a / (a + b)) ** a / a, (b / (a + b)) ** b / b
+    series = a == 0.5 and 0.5 <= b < _HILL_FROM
+    low, high = (_reverted_tail(a, b), _reverted_tail(b, a)) if series else ((0.0,) * 5,) * 2
+    return log_beta(a, b), a - 1.0, b - 1.0, hill, (t / (t + v), low, high)
 
 
-def _inverse_seed(a: float, b: float, q: float, log_b: float, hill: tuple[float, ...]) -> float:
+def _inverse_seed(a: float, b: float, q: float, log_b: float, hill: tuple[float, ...], power: tuple) -> float:
     """Initial guess for I_u(a,b) = q, strictly inside (0, 1), or 0.0 when
     the root rounds to 0.0.
 
-    Given `hill` (a = 1/2, 1 <= b <= 1e150), the kernel u = T^2/(2b + T^2) with
-    T Hill's Student t quantile (CACM Algorithm 396) for 2b degrees of freedom
-    at two-tailed level 1 - q. Other shapes >= 1: the normal approximation
+    Given `hill` (a = 1/2, _HILL_FROM <= b <= 1e150), the kernel u = T^2/(2b + T^2)
+    with T Hill's Student t quantile (CACM Algorithm 396) for 2b degrees of
+    freedom at two-tailed level 1 - q. Other shapes >= 1: the normal approximation
     of Abramowitz & Stegun 26.5.22 with the upper-tail deviate -Phi^-1(q)
     (Numerical Recipes `invbetai`). Otherwise the tail power laws I_u ~
-    u^a / (a B) and 1 - I_u ~ (1-u)^b / (b B), split where NR splits them;
+    u^a / (a B) and 1 - I_u ~ (1-u)^b / (b B), split where NR splits them, each
+    times its side's reverted series in `power`, 1 off a = 1/2 <= b < _HILL_FROM;
     below u = 1e-300 the lower one is the root, unclamped.
     """
     log_low = (math.log(q) + math.log(a) + log_b) / a  # ln u of the lower power law
@@ -218,12 +249,11 @@ def _inverse_seed(a: float, b: float, q: float, log_b: float, hill: tuple[float,
         # exp(700) keeps the far lower tail finite.
         u = a / (a + b * math.exp(700.0 if 350.0 < w else 2.0 * w))
     else:
-        t = (a / (a + b)) ** a / a
-        v = (b / (a + b)) ** b / b
-        if q < t / (t + v):
-            u = math.exp(log_low)
-        else:
-            u = 1.0 - math.exp((math.log1p(-q) + math.log(b) + log_b) / b)
+        lower = q < power[0]
+        z = math.exp(log_low if lower else (math.log1p(-q) + math.log(b) + log_b) / b)
+        c1, c2, c3, c4, c5 = power[1] if lower else power[2]
+        z *= 1.0 + z * (c1 + z * (c2 + z * (c3 + z * (c4 + z * c5))))
+        u = z if lower else 1.0 - z
     if b >= 1.0:
         # I_u <= u^a / (a B) for b >= 1, so the lower power law lies below
         # the root; it takes over in the far lower tail, where the normal
@@ -239,7 +269,7 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
 
     Halley steps (plain Newton where the Halley correction is not
     trusted) on ln I_u up to q = 1/2 and on ln(1 - I_u) above, from a Hill
-    t-quantile, Abramowitz & Stegun 26.5.22 or tail power-law seed inside
+    t-quantile, Abramowitz & Stegun 26.5.22 or tail series seed inside
     the bracket [0, 1]. Every iterate becomes an end of the bracket and a
     step that leaves it bisects instead, so the next iterate lies strictly
     inside and the bracket shrinks on every pass. The solve ends on a
@@ -256,9 +286,9 @@ def inv_reg_inc_beta(a: float, b: float, q: float) -> float:
     if q == 1.0:
         return 1.0
 
-    log_b, am1, bm1, hill = _inverse_setup(a, b)
+    log_b, am1, bm1, hill, power = _inverse_setup(a, b)
     lo, hi = 0.0, 1.0
-    u = _inverse_seed(a, b, q, log_b, hill)
+    u = _inverse_seed(a, b, q, log_b, hill, power)
     if u == 0.0:
         return 0.0
     # The smaller side, I_u against q or 1 - I_u against 1 - q (exact for

@@ -337,7 +337,7 @@ class TestInverse:
         # fed the lower-tail one it lands on the mirror point 1 - u.
         sd = 0.5 / math.sqrt(2.0 * b + 1.0)
         for q in [0.55, 0.75, 0.9, 0.99, 1 - 1e-6]:
-            seed = special._inverse_seed(b, b, q, log_beta(b, b), ())
+            seed = special._inverse_seed(b, b, q, log_beta(b, b), (), ())
             assert abs(seed - sp.betaincinv(b, b, q)) <= 0.1 * sd, q
 
     def test_kernel_evaluations_per_inverse(self, count_calls):
@@ -397,6 +397,33 @@ class TestInverse:
                 for q in [1e-100, 1e-10, 1e-3, 0.3, 0.7, 0.99]:
                     got = mp.betainc(0.5, b, 0, inv_reg_inc_beta(0.5, b, q), regularized=True)
                     assert abs(got - q) <= 1e-13 * min(q, 1 - q), (b, q)
+
+    def test_half_shape_relative_residual_at_series_seeded_b(self):
+        # Below b = _HILL_FROM the (1/2, b) solve starts from the reverted tail
+        # series and mostly stops after its first step: the root keeps the
+        # large-b test's bound in both tails and across the side split.
+        import mpmath as mp
+
+        with mp.workdps(40):
+            for b in [0.5, 0.7, 1.0, 1.2, 1.45]:
+                for q in [1e-100, 1e-10, 1e-3, 0.3, 0.5, 0.6, 0.7, 0.99]:
+                    got = mp.betainc(0.5, b, 0, inv_reg_inc_beta(0.5, b, q), regularized=True)
+                    assert abs(got - q) <= 1e-13 * min(q, 1 - q), (b, q)
+
+    @pytest.mark.parametrize("b", [0.5, 0.6, 0.8, 0.95, 1.1, 1.3, 1.4])
+    def test_one_kernel_evaluation_per_half_shape_quantile(self, count_calls, b):
+        # The quantile's inverse at the slow shapes: from the power laws (b < 1)
+        # or Hill's seed (1 <= b < 1.36) it took 1.9-2.5 evaluations on average.
+        # The reverted tail series seeds within the stop rule's 1e-5 on most p.
+        calls = count_calls("_reg_inc_beta_raw", special)
+        rng = random.Random(36)
+        counts = []
+        for _ in range(3000):
+            calls.clear()
+            inv_reg_inc_beta(0.5, b, rng.random())
+            counts.append(len(calls))
+        assert sum(counts) / len(counts) <= 1.2
+        assert max(counts) <= 2
 
     def test_upper_tail_complement_relative_accuracy_against_mpmath(self):
         # Above q = 1/2 the solve steps on ln(1 - I_u), so 1 - u keeps its

@@ -362,12 +362,13 @@ class TestPinnedOutputs:
             _pin("table moments --b 0.01 --n-max 2 --precision 10 --tol-abs 1e-3 --tol-rel 1e-3",
                  "b,E[X],E[X^2]", "0.01,100.0160385509,20003.2424270566"),
             # Seeded draws, bit for bit: the stream's (seed, i) mapping and mix,
-            # and the quantile behind them, including the power-law seed path at
-            # b = 0.7 and the 64-bit top of the seed range.
+            # and the quantile behind them, including the reverted tail series
+            # seed at b = 0.7 (5.2, 3.6 and 4.1 ulps from 50-digit mpmath) and
+            # the 64-bit top of the seed range.
             _pin("sample --b 3 --count 3 --seed 1",
                  "0.67257369737231931", "0.98861415031954381", "1.9873720623876898"),
             _pin("sample --b 0.7 --count 3 --seed 7",
-                 "1.0368925272909721", "0.042072377748641483", "3.866784477744496"),
+                 "1.0368925272909717", "0.042072377748641483", "3.866784477744496"),
             _pin("sample --b 500 --count 2 --seed 18446744073709551615",
                  "0.10226352590260916", "0.10815645866565342"),
         ],
